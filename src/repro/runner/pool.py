@@ -196,6 +196,16 @@ def _child_main(conn, experiment: str, label: str,
         conn.close()
 
 
+def _receive(conn) -> Any:
+    """The worker's message if one is waiting on ``conn``, else ``None``."""
+    if not conn.poll():
+        return None
+    try:
+        return conn.recv()
+    except (EOFError, OSError):
+        return None  # died between connect and send
+
+
 @dataclass
 class _Active:
     """Supervisor-side state for one live worker."""
@@ -300,12 +310,13 @@ def run_supervised(pending: Sequence[RunSpec], *, jobs: int,
 
         progressed = False
         for entry in list(active):
-            message = None
-            if entry.conn.poll():
-                try:
-                    message = entry.conn.recv()
-                except (EOFError, OSError):
-                    message = None  # died between connect and send
+            message = _receive(entry.conn)
+            exited = message is None and not entry.process.is_alive()
+            if exited:
+                # The worker may have sent its result and exited between
+                # the poll above and ``is_alive``: read the pipe once more
+                # before calling it a crash.
+                message = _receive(entry.conn)
             if message is not None:
                 active.remove(entry)
                 progressed = True
@@ -318,7 +329,7 @@ def run_supervised(pending: Sequence[RunSpec], *, jobs: int,
                     _, kind, text, tb = message
                     _retry_or_fail(entry, kind, text, tb)
                 continue
-            if not entry.process.is_alive():
+            if exited:
                 active.remove(entry)
                 progressed = True
                 _retry_or_fail(

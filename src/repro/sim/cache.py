@@ -165,6 +165,27 @@ class Cache:
         self.stats.invalidations += 1
         return True
 
+    def invalidate_range(self, first: int, last: int) -> int:
+        """Drop every unlocked resident line in ``first..last``; returns
+        how many were dropped.
+
+        Same effect as :meth:`invalidate` on each line of the range, but
+        the cost is bounded by ``min(range length, occupancy)``: a range
+        covering at least one line per set walks the resident entries
+        instead of probing every address.
+        """
+        if last - first + 1 < self.num_sets:
+            return sum(self.invalidate(line) for line in range(first, last + 1))
+        dropped = 0
+        for cache_set in self._sets.values():
+            doomed = [line for line, state in cache_set.items()
+                      if first <= line <= last and not state.locked]
+            for line in doomed:
+                del cache_set[line]
+            dropped += len(doomed)
+        self.stats.invalidations += dropped
+        return dropped
+
     # -- HALO lock bit (reserved cache-line metadata bit, §4.4) --------------
     def lock(self, line: int) -> bool:
         cache_set = self._sets.get(self.set_index(line))

@@ -48,6 +48,23 @@ class SnoopFilter:
             if not sharers:
                 self._sharers.pop(line, None)
 
+    def evict_range(self, first: int, last: int) -> None:
+        """:meth:`record_eviction` of every core for each line in
+        ``first..last``, walking whichever is smaller: the range or the
+        tracked lines.  Metadata-cache holders are left untouched."""
+        tracked = self._sharers
+        if last - first + 1 <= len(tracked):
+            lines = [line for line in range(first, last + 1)
+                     if line in tracked]
+        else:
+            lines = [line for line in tracked if first <= line <= last]
+        cores = range(self.cores)
+        for line in lines:
+            sharers = tracked[line]
+            sharers.difference_update(cores)
+            if not sharers:
+                del tracked[line]
+
     def sharers_of(self, line: int) -> Set[int]:
         return set(self._sharers.get(line, ()))
 

@@ -481,14 +481,20 @@ class MemoryHierarchy:
         Models a working set displaced to DRAM (e.g. a hash table evicted
         by other tenants) without disturbing unrelated lines such as the
         caller's key operand.
+
+        Each private cache drops its own resident lines in the range
+        (:meth:`Cache.invalidate_range`), so the cost per core is bounded
+        by that cache's occupancy rather than the region length.  The
+        walk reads the caches, not the snoop filter, so a private copy the
+        filter no longer lists is dropped too.  The LLC is probed once
+        per line at its home slice.
         """
         first = self.line_of(base)
         last = self.line_of(base + size - 1)
+        for cache in self.l1 + self.l2:
+            cache.invalidate_range(first, last)
+        self.snoop_filter.evict_range(first, last)
         for line in range(first, last + 1):
-            for core in range(self.machine.cores):
-                self.l1[core].invalidate(line)
-                self.l2[core].invalidate(line)
-                self.snoop_filter.record_eviction(line, core)
             self.llc[self.interconnect.slice_of_line(line)].invalidate(line)
 
     def reset_stats(self) -> None:

@@ -5,13 +5,15 @@ the registry cache before workers launch; children are forked, so they
 inherit the injection and ``_execute_payload`` resolves it by name.
 """
 
+import multiprocessing
 import os
 import pathlib
 import time
+import types
 
 import pytest
 
-from repro.runner import registry
+from repro.runner import pool, registry
 from repro.runner.pool import (
     PoolOutcome,
     RunTimeoutError,
@@ -190,6 +192,55 @@ def test_malformed_entrypoint_fails_loudly():
     assert not outcomes[0].ok
     assert outcomes[0].error_type == "ValueError"
     assert "module:function" in outcomes[0].message
+
+
+# ---------------------------------------------------------------------------
+# result sent just before the worker exits
+
+
+class _LatePollConn:
+    """Parent end of a result pipe whose first ``poll`` misses the result."""
+
+    def __init__(self, conn):
+        self._conn = conn
+        self._polls = 0
+
+    def poll(self):
+        self._polls += 1
+        return self._polls > 1 and self._conn.poll()
+
+    def recv(self):
+        return self._conn.recv()
+
+    def close(self):
+        self._conn.close()
+
+
+class _ExitedProcess(multiprocessing.Process):
+    """Reports liveness only after the worker has exited."""
+
+    def is_alive(self):
+        self.join(timeout=30)
+        return super().is_alive()
+
+
+def _late_poll_pipe(duplex=False):
+    parent, child = multiprocessing.Pipe(duplex=duplex)
+    return _LatePollConn(parent), child
+
+
+def test_result_sent_just_before_exit_is_not_a_crash(monkeypatch):
+    """The worker sends and exits between the supervisor's empty poll and
+    its liveness check: the buffered result must still be read."""
+    monkeypatch.setattr(pool, "multiprocessing", types.SimpleNamespace(
+        Pipe=_late_poll_pipe, Process=_ExitedProcess))
+    specs = [RunSpec(experiment="x", label="late", params={"x": 4}, seed=1)]
+    outcomes, _ = run_supervised(specs, jobs=1,
+                                 entrypoint=f"{__name__}:_entry_ok")
+    outcome = outcomes[0]
+    assert outcome.ok, outcome.message
+    assert outcome.payload == {"label": "late", "doubled": 8, "seed": 1}
+    assert outcome.attempt_failures == []
 
 
 # ---------------------------------------------------------------------------

@@ -72,6 +72,42 @@ def test_lock_bit_blocks_invalidation():
     assert cache.invalidate(3)
 
 
+def _resident(cache):
+    return {index: list(cache_set) for index, cache_set in cache._sets.items()}
+
+
+@pytest.mark.parametrize("first, last", [
+    (20, 27),   # 8 lines < 16 sets: probes each line of the range
+    (20, 40),   # 21 lines >= 16 sets: walks the resident entries
+])
+def test_invalidate_range_drops_unlocked_lines_in_range(first, last):
+    cache = make_cache()
+    lines = list(range(0, 64, 3))
+    for line in lines:
+        cache.fill(line)
+    for line in reversed(lines[:10]):
+        cache.lookup(line)  # LRU order differs from fill order
+    in_range = [line for line in lines if first <= line <= last]
+    pinned = in_range[0]
+    cache.lock(pinned)
+    kept = {index: [line for line in cache_set
+                    if line == pinned or not first <= line <= last]
+            for index, cache_set in _resident(cache).items()}
+    dropped = cache.invalidate_range(first, last)
+    assert dropped == len(in_range) - 1
+    assert cache.stats.invalidations == dropped
+    assert _resident(cache) == kept
+    assert cache.is_locked(pinned)
+
+
+def test_invalidate_range_empty_range_is_a_no_op():
+    cache = make_cache()
+    cache.fill(5)
+    assert cache.invalidate_range(5, 4) == 0
+    assert cache.contains(5)
+    assert cache.stats.invalidations == 0
+
+
 def test_lock_bit_pins_line_against_eviction():
     cache = make_cache(size=2 * 64, assoc=2)
     lines = [i * cache.num_sets for i in range(3)]

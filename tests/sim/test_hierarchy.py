@@ -155,6 +155,57 @@ def test_flush_region_evicts_everywhere(hierarchy):
     assert result.level == "DRAM"
 
 
+def _resident(cache):
+    return [line for cache_set in cache._sets.values() for line in cache_set]
+
+
+def test_flush_region_walks_warm_private_caches(hierarchy):
+    base, lines = 0x1000000, 2048
+    first = hierarchy.line_of(base)
+    last = first + lines - 1
+    private = hierarchy.l1 + hierarchy.l2
+    # The range covers at least one line per set of every private cache.
+    assert all(cache.num_sets <= lines for cache in private)
+    outside = [base - 64 * 3, base + 64 * (lines + 5)]
+    for core in range(4):
+        for offset in range(0, 64 * lines, 64 * (7 + core)):
+            hierarchy.core_access(core, base + offset)
+        for addr in outside:
+            hierarchy.core_access(core, addr)
+    kept = [[line for line in _resident(cache) if not first <= line <= last]
+            for cache in private]
+    doomed = sum(1 for cache in private + hierarchy.llc
+                 for line in _resident(cache) if first <= line <= last)
+    before = sum(cache.stats.invalidations
+                 for cache in private + hierarchy.llc)
+
+    hierarchy.flush_region(base, 64 * lines)
+
+    assert [_resident(cache) for cache in private] == kept
+    after = sum(cache.stats.invalidations for cache in private + hierarchy.llc)
+    assert after - before == doomed
+    snoop = hierarchy.snoop_filter
+    assert not any(snoop.sharers_of(line) for line in range(first, last + 1))
+    for addr in outside:
+        assert snoop.sharers_of(hierarchy.line_of(addr)) == {0, 1, 2, 3}
+
+
+def test_flush_region_keeps_locked_llc_line_but_drops_private_copies(
+        hierarchy):
+    addr = 0x2000000
+    line = hierarchy.line_of(addr)
+    for core in range(3):
+        hierarchy.core_access(core, addr)
+    assert hierarchy.lock_line(addr)
+    hierarchy.flush_region(addr, 64 * 4)
+    assert hierarchy.line_locked(addr)
+    for core in range(3):
+        assert not hierarchy.l1[core].contains(line)
+        assert not hierarchy.l2[core].contains(line)
+    assert hierarchy.snoop_filter.sharers_of(line) == set()
+    assert hierarchy.core_access(0, addr).level == "LLC"
+
+
 def test_reset_stats(hierarchy):
     hierarchy.core_access(0, 0x1000)
     hierarchy.reset_stats()
