@@ -33,7 +33,6 @@ CONTRACT_MODULES = (
     "repro/runner/perf.py",
     "repro/runner/pool.py",
     "repro/runner/journal.py",
-    "repro/sim/replay.py",
     "repro/cluster/__init__.py",
     "repro/cluster/balancer.py",
     "repro/cluster/cluster.py",

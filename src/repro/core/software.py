@@ -56,102 +56,6 @@ class SoftwareLookupEngine:
         self.stats.breakdown = self.stats.breakdown.merged(result.breakdown)
         return value, result
 
-    def capture_lookups(self, table,
-                        keys: Iterable[bytes]) -> Tuple[list, list]:
-        """Functionally run a key stream, capturing one trace per lookup.
-
-        Pure capture — nothing is priced and no stats are recorded; pair
-        with :meth:`record_lookup` once the traces have been executed
-        (serially or through :meth:`CoreModel.execute_batch`).  Table
-        lookups are functional reads, so running them all before pricing
-        leaves the simulated cache state untouched.
-        """
-        tracer = self.table_tracer(table)
-        values: list = []
-        traces: list = []
-        push_value = values.append
-        push_trace = traces.append
-        lookup = table.lookup
-        token = tracer.activate(self.core.core_id)
-        # Bracket the recording on the core's own tracer directly; the
-        # table's internal loads still route through ``table.tracer``.
-        # One ``begin`` up front — ``take`` already resets the tracer, so
-        # re-beginning per key would just allocate a throwaway trace.
-        recorder = tracer.tracer_for(self.core.core_id)
-        take = recorder.take
-        # Capture fast path: point ``table.tracer`` straight at this
-        # core's recorder for the duration of the bracket, skipping the
-        # per-op router delegation hop.  The router stays activated, so
-        # the recording is identical either way; tables whose ``tracer``
-        # is not assignable simply keep routing through it.
-        saved_tracer = table.tracer
-        swapped = False
-        try:
-            table.tracer = recorder
-            swapped = True
-        except AttributeError:
-            pass
-        try:
-            recorder.begin()
-            for key in keys:
-                push_value(lookup(key))
-                push_trace(take())
-        finally:
-            if swapped:
-                table.tracer = saved_tracer
-            tracer.restore(token)
-        return values, traces
-
-    def record_lookup(self, value: Any, result: ExecutionResult) -> None:
-        """Fold one priced lookup into the run stats (same order as
-        :meth:`lookup`, so serial and batched runs agree exactly)."""
-        self.stats.lookups += 1
-        if value is not None:
-            self.stats.hits += 1
-        self.stats.cycles.record(result.cycles)
-        self.stats.breakdown = self.stats.breakdown.merged(result.breakdown)
-
-    def record_lookups(self, values: list, results: list) -> None:
-        """Fold a priced batch into the run stats in one pass.
-
-        Float math is the same left-fold :meth:`record_lookup` performs
-        per lookup (the Welford stream sees each cycle count in order, the
-        breakdown parts accumulate left to right), so a batched run's
-        stats equal the serial run's exactly.
-        """
-        stats = self.stats
-        parts = dict(stats.breakdown.parts)
-        parts_get = parts.get
-        hits = 0
-        # Welford fold inlined on locals — identical op sequence to
-        # RunningStats.record, written back once at the end.
-        cycle_stats = stats.cycles
-        count = cycle_stats.count
-        mean = cycle_stats.mean
-        m2 = cycle_stats._m2
-        minimum = cycle_stats.minimum
-        maximum = cycle_stats.maximum
-        for value, result in zip(values, results):
-            if value is not None:
-                hits += 1
-            cycles = result.cycles
-            count += 1
-            delta = cycles - mean
-            mean += delta / count
-            m2 += delta * (cycles - mean)
-            minimum = min(minimum, cycles)
-            maximum = max(maximum, cycles)
-            for name, amount in result.breakdown.parts.items():
-                parts[name] = parts_get(name, 0.0) + amount
-        cycle_stats.count = count
-        cycle_stats.mean = mean
-        cycle_stats._m2 = m2
-        cycle_stats.minimum = minimum
-        cycle_stats.maximum = maximum
-        stats.lookups += len(results)
-        stats.hits += hits
-        stats.breakdown = Breakdown(parts)
-
     def lookup_stream(self, table, keys: Iterable[bytes]) -> SoftwareRunStats:
         """Run a key stream; returns the accumulated statistics."""
         for key in keys:

@@ -34,8 +34,6 @@ from enum import Enum
 from typing import Any, ClassVar, Generator, Iterable, List, Optional, Sequence, Tuple
 
 from ..hashtable.locking import READ_SIDE_CYCLES
-from ..sim.replay import (REPLAY_BATCH, REPLAY_WINDOWED, TraceReplay,
-                          batched_replay_default)
 from ..sim.trace import capture
 
 
@@ -222,35 +220,16 @@ class SoftwareBackend(LookupBackend):
     against the hierarchy and :class:`~repro.sim.core.CoreModel` prices it —
     but the cost is then spent as engine time, so software cores occupy the
     shared timeline and contend with whatever else is running.
-
-    ``batched=True`` (or ``REPRO_BATCHED_REPLAY=1`` in the environment)
-    opts streams into the :class:`~repro.sim.replay.TraceReplay` fast
-    paths: when nothing needs per-event interleaving the whole stream is
-    priced in one pass and spent as a single timeout, and with concurrent
-    processes the stream batches between interaction points (windowed
-    replay; disable with ``windowed=False`` or
-    ``REPRO_WINDOWED_REPLAY=0``).  Cycle outcomes, run stats, and metrics
-    agree with the serial path (the parity suite pins rel=1e-12); with
-    faults or guards the replay transparently falls back to one event per
-    lookup, counting every fallback under ``replay.fallback.*``.
     """
 
     kind = BackendKind.SOFTWARE
     replaces_emc = False
 
     def __init__(self, system, core_id: int = 0,
-                 with_locking: bool = True,
-                 batched: Optional[bool] = None,
-                 windowed: Optional[bool] = None) -> None:
+                 with_locking: bool = True) -> None:
         super().__init__(system, core_id)
         self.software = system.software_engine(core_id,
                                                with_locking=with_locking)
-        if batched is None:
-            batched = batched_replay_default()
-        obs = getattr(system, "obs", None)
-        self.replay = TraceReplay(self.software.core, system.engine,
-                                  batched=batched, windowed=windowed,
-                                  metrics=getattr(obs, "metrics", None))
 
     @property
     def core(self):
@@ -262,31 +241,6 @@ class SoftwareBackend(LookupBackend):
             yield self.system.engine.timeout(result.cycles)
         return LookupOutcome(value=value, found=value is not None,
                              cycles=result.cycles)
-
-    def lookup_stream(self, table, keys: Iterable[bytes]) -> Generator:
-        """Program for a key stream, batched when the replay allows it.
-
-        The replay mode is decided once per stream: ``batch`` and
-        ``windowed`` streams capture every trace up front and replay them
-        through :class:`~repro.sim.replay.TraceReplay`; serial fallbacks
-        (faults, guard, windowed replay disabled) and non-batched backends
-        keep the per-key lookup loop.
-        """
-        mode = self.replay.decide()
-        if mode not in (REPLAY_BATCH, REPLAY_WINDOWED):
-            outcomes = yield from LookupBackend.lookup_stream(self, table,
-                                                              keys)
-            return outcomes
-        software = self.software
-        values, traces = software.capture_lookups(table, keys)
-        lock_cycles = READ_SIDE_CYCLES if software.with_locking else 0.0
-        results = yield from self.replay.replay(
-            traces, lock_cycles_each=lock_cycles, mode=mode)
-        software.record_lookups(values, results)
-        outcome_cls = LookupOutcome
-        return [outcome_cls(value=value, found=value is not None,
-                            cycles=result.cycles)
-                for value, result in zip(values, results)]
 
     def traced_call(self, func, *args, lock_cycles: Optional[float] = None,
                     **kwargs) -> Generator:

@@ -46,7 +46,6 @@ class CoreWorkload:
     #: lookups (faster for non-blocking HALO, but per-key timeline marks
     #: collapse to batch boundaries).
     stream: bool = False
-    backend_kwargs: dict = field(default_factory=dict)
     name: str = ""
     #: Optional :class:`~repro.exec.backend.ResiliencePolicy`, applied to
     #: backend kinds that honour one (``halo-nb`` and ``adaptive``);
@@ -145,13 +144,13 @@ def resolve_placement(system, workload: CoreWorkload) -> CoreWorkload:
 def _resolve_backend(system, workload: CoreWorkload) -> LookupBackend:
     if isinstance(workload.backend, LookupBackend):
         return workload.backend
-    kwargs = dict(workload.backend_kwargs)
+    kwargs = {}
     if workload.policy is not None:
         kind = workload.backend
         if isinstance(kind, str):
             kind = BackendKind(kind)
         if kind in _POLICY_KINDS:
-            kwargs.setdefault("policy", workload.policy)
+            kwargs["policy"] = workload.policy
     return make_backend(workload.backend, system, core_id=workload.core_id,
                         **kwargs)
 

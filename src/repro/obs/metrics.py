@@ -125,29 +125,6 @@ class Histogram:
         else:
             self.bucket_counts[index] += 1
 
-    def observe_many(self, value: float, n: int) -> None:
-        """Record ``value`` ``n`` times in one update.
-
-        The batched-replay fast path defers its per-access observations
-        and flushes them grouped by distinct latency; the resulting
-        histogram state (counts, buckets, min/max, sum for the integer
-        latencies the hierarchy produces) is identical to ``n`` single
-        :meth:`observe` calls.
-        """
-        if n <= 0:
-            return
-        self.count += n
-        self.sum += value * n
-        if value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
-        index = bisect.bisect_left(self.bounds, value)
-        if index == len(self.bounds):
-            self.overflow += n
-        else:
-            self.bucket_counts[index] += n
-
     @property
     def mean(self) -> float:
         return self.sum / self.count if self.count else 0.0
@@ -262,9 +239,6 @@ class _NullHistogram(Histogram):
         super().__init__("null")
 
     def observe(self, value: float) -> None:
-        pass
-
-    def observe_many(self, value: float, n: int) -> None:
         pass
 
 

@@ -1,6 +1,6 @@
 """``repro bench --perf`` — the pinned engine-performance microbench suite.
 
-Public contract: eight microbenches track the simulator's own speed (not
+Public contract: five microbenches track the simulator's own speed (not
 the paper's modelled results) so every PR leaves a ``BENCH_<n>.json``
 footprint in the perf trajectory:
 
@@ -8,20 +8,11 @@ footprint in the perf trajectory:
   ping-ponging through a short-delay latency mix while 10k far-future
   timeouts sit parked in the calendar.  Exercises schedule/pop/wake and
   nothing else.
-* ``cache_replay`` — the software-lookup hot loop: thousands of lookups
-  over a small hot key set on a warm table, run through the batched
-  trace-replay fast path (:class:`repro.sim.replay.TraceReplay`).
 * ``fig09_single_lookup`` — the model-of-record serial lookup path (one
   trace captured, priced, and yielded per key), sized like a Figure 9
   grid point.
 * ``multicore_step`` — several software cores interleaving on one shared
   engine via :func:`repro.exec.cores.run_cores`, one lookup per DES hop.
-* ``multicore_batched`` — the same collocated shape but *streamed*:
-  batched capture plus windowed replay between interaction points,
-  against the per-key composition as its reference side.
-* ``vector_pricing`` — raw :meth:`repro.sim.core.CoreModel.execute_batch`
-  pricing throughput, numpy kernels against the pure-Python fallback
-  (``events`` counts priced traces — no engine runs here).
 * ``shard_scaling`` — the sharded-cluster path
   (:func:`repro.cluster.run_cluster`, inline dispatch): a 4-shard
   cluster over a fixed stream, against the same stream through one
@@ -34,10 +25,9 @@ footprint in the perf trajectory:
   book-keeping — the per-packet host cost the ``cache_churn`` experiment
   pays per cell.
 
-``engine_churn`` and ``cache_replay`` also run on the *frozen
-pre-campaign engine* vendored in :mod:`repro.runner._legacy_engine`;
-``multicore_batched`` and ``vector_pricing`` time their slow-mode
-counterparts in the same process.  All four record the ratio as
+``engine_churn`` also runs on the *frozen pre-campaign engine* vendored
+in :mod:`repro.runner._legacy_engine`, and ``shard_scaling`` times one
+monolithic shard in the same process.  Both record the ratio as
 ``speedup_vs_legacy``.  Because both sides execute in the same process
 on the same host, that ratio is robust to machine speed in a way
 absolute events/sec is not — it is the number the CI regression gate
@@ -60,14 +50,13 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-PERF_SCHEMA_VERSION = 4
+PERF_SCHEMA_VERSION = 5
 
 #: Default location for committed snapshots (``BENCH_<n>.json``).
 DEFAULT_PERF_DIR = "benchmarks/perf"
 
 #: Names every snapshot must contain, in suite order.
-BENCH_NAMES = ("engine_churn", "cache_replay", "fig09_single_lookup",
-               "multicore_step", "multicore_batched", "vector_pricing",
+BENCH_NAMES = ("engine_churn", "fig09_single_lookup", "multicore_step",
                "shard_scaling", "emc_churn")
 
 #: Required bench names per schema version.  Snapshots validate against
@@ -81,7 +70,10 @@ NAMES_BY_SCHEMA = {
     3: ("engine_churn", "cache_replay", "fig09_single_lookup",
         "multicore_step", "multicore_batched", "vector_pricing",
         "shard_scaling"),
-    4: BENCH_NAMES,
+    4: ("engine_churn", "cache_replay", "fig09_single_lookup",
+        "multicore_step", "multicore_batched", "vector_pricing",
+        "shard_scaling", "emc_churn"),
+    5: BENCH_NAMES,
 }
 
 
@@ -201,17 +193,10 @@ class _Shape:
     churn_workers: int
     churn_hops: int
     churn_parked: int
-    replay_lookups: int
     fig09_lookups: int
     multicore_cores: int
     multicore_lookups: int
     repeats: int
-    #: Per-core stream length for ``multicore_batched`` (sized separately
-    #: from ``multicore_lookups``: batching needs longer streams before
-    #: its fixed costs amortise).
-    batched_lookups: int = 400
-    #: Captured-trace volume for ``vector_pricing``.
-    pricing_lookups: int = 8000
     #: Cluster geometry + stream volume for ``shard_scaling``.
     shard_count: int = 4
     shard_flows: int = 128
@@ -222,18 +207,16 @@ class _Shape:
 
 
 FULL_SHAPE = _Shape(churn_workers=16, churn_hops=2000, churn_parked=10_000,
-                    replay_lookups=8000, fig09_lookups=2000,
-                    multicore_cores=4, multicore_lookups=400, repeats=5,
-                    batched_lookups=800, pricing_lookups=8000,
+                    fig09_lookups=2000, multicore_cores=4,
+                    multicore_lookups=400, repeats=5,
                     shard_count=4, shard_flows=128, shard_lookups=2000,
                     emc_churn_packets=20_000, emc_churn_entries=512)
 # Quick walls must stay >= ~50ms per bench: the CI gate compares rates
 # from this flavour, and few-millisecond timings swing tens of percent.
 # "Quick" trims repeats and lookup volume, not workload character.
 QUICK_SHAPE = _Shape(churn_workers=16, churn_hops=2000, churn_parked=10_000,
-                     replay_lookups=4000, fig09_lookups=800,
-                     multicore_cores=2, multicore_lookups=200, repeats=3,
-                     batched_lookups=800, pricing_lookups=8000,
+                     fig09_lookups=800, multicore_cores=2,
+                     multicore_lookups=200, repeats=3,
                      shard_count=4, shard_flows=128, shard_lookups=1000,
                      emc_churn_packets=10_000, emc_churn_entries=256)
 
@@ -295,78 +278,6 @@ def bench_engine_churn(shape: _Shape) -> BenchResult:
     return BenchResult(name="engine_churn", events=int(current["events"]),
                        lookups=0, cycles=current["now"], wall_s=wall,
                        legacy_wall_s=legacy_wall, repeats=shape.repeats)
-
-
-def _replay_setup(lookups: int, entries: int = 64, hot: int = 32):
-    """A warm capacity-256 table plus a hot-key stream (L1-resident)."""
-    import random
-
-    from ..core import HaloSystem
-
-    rng = random.Random(29)
-    system = HaloSystem()
-    table = system.create_table(256, name="perf_replay")
-    inserted = []
-    for index in range(entries):
-        key = rng.randbytes(16)
-        if table.insert(key, index):
-            inserted.append(key)
-    system.warm_table(table)
-    hot_keys = inserted[:hot]
-    keys = [hot_keys[rng.randrange(len(hot_keys))] for _ in range(lookups)]
-    software = system.software_engine(0)
-    for key in hot_keys:            # pull the hot set into L1
-        software.lookup(table, key)
-    return system, table, keys
-
-
-def bench_cache_replay(shape: _Shape) -> BenchResult:
-    """Batched replay vs the same lookups composed on the frozen engine."""
-    from . import _legacy_engine
-    from ..exec.backend import LookupOutcome
-
-    current: Dict[str, float] = {}
-
-    def run_current() -> float:
-        system, table, keys = _replay_setup(shape.replay_lookups)
-        backend = system.backend("software", batched=True)
-        t0 = time.process_time()
-        system.engine.run_process(backend.lookup_stream(table, keys))
-        elapsed = time.process_time() - t0
-        current["now"] = system.engine.now
-        current["events"] = system.engine.events_processed
-        return elapsed
-
-    def run_legacy() -> float:
-        # Faithful pre-campaign composition: one sub-generator per key,
-        # one timeout per priced trace, on the vendored engine.
-        system, table, keys = _replay_setup(shape.replay_lookups)
-        software = system.software_engine(0)
-        engine = _legacy_engine.Engine()
-
-        def legacy_lookup(key):
-            value, result = software.lookup(table, key)
-            if result.cycles:
-                yield engine.timeout(result.cycles)
-            return LookupOutcome(value=value, found=value is not None,
-                                 cycles=result.cycles)
-
-        def legacy_stream():
-            outcomes = []
-            for key in keys:
-                outcome = yield from legacy_lookup(key)
-                outcomes.append(outcome)
-            return outcomes
-
-        t0 = time.process_time()
-        engine.run_process(legacy_stream())
-        return time.process_time() - t0
-
-    wall, legacy_wall = _min_of([run_current, run_legacy], shape.repeats)
-    return BenchResult(name="cache_replay", events=int(current["events"]),
-                       lookups=shape.replay_lookups, cycles=current["now"],
-                       wall_s=wall, legacy_wall_s=legacy_wall,
-                       repeats=shape.repeats)
 
 
 def bench_fig09_single_lookup(shape: _Shape) -> BenchResult:
@@ -443,116 +354,6 @@ def bench_multicore_step(shape: _Shape) -> BenchResult:
                        * shape.multicore_lookups,
                        cycles=current["now"], wall_s=wall,
                        repeats=shape.repeats)
-
-
-def bench_multicore_batched(shape: _Shape) -> BenchResult:
-    """Streamed collocated cores: windowed batched replay vs per-key hops.
-
-    Both sides run on the *live* engine over the identical streamed
-    workload — the reference side simply builds its backends with
-    ``batched=False`` — so ``speedup_vs_legacy`` isolates exactly what
-    the windowed replay buys concurrent software cores.
-    """
-    from ..traffic.generator import random_keys
-
-    current: Dict[str, float] = {}
-
-    def _run(batched: bool) -> Tuple[float, float, int]:
-        from ..core import HaloSystem
-        from ..exec.cores import CoreWorkload
-
-        system = HaloSystem()
-        table = system.create_table(1 << 10, name="perf_mc_batched")
-        keys = random_keys(512, seed=37)
-        for index, key in enumerate(keys):
-            table.insert(key, index)
-        system.warm_table(table)
-        per_core = shape.batched_lookups
-        workloads = [
-            CoreWorkload(backend="software", core_id=core, table=table,
-                         keys=[keys[(core * 97 + i) % len(keys)]
-                               for i in range(per_core)],
-                         stream=True,
-                         backend_kwargs={"batched": batched},
-                         name=f"perfb{core}")
-            for core in range(shape.multicore_cores)
-        ]
-        t0 = time.process_time()
-        system.run_cores(workloads)
-        elapsed = time.process_time() - t0
-        return elapsed, system.engine.now, system.engine.events_processed
-
-    def run_current() -> float:
-        elapsed, now, events = _run(True)
-        current["now"], current["events"] = now, events
-        return elapsed
-
-    def run_legacy() -> float:
-        elapsed, _now, _events = _run(False)
-        return elapsed
-
-    wall, legacy_wall = _min_of([run_current, run_legacy], shape.repeats)
-    return BenchResult(name="multicore_batched",
-                       events=int(current["events"]),
-                       lookups=shape.multicore_cores
-                       * shape.batched_lookups,
-                       cycles=current["now"], wall_s=wall,
-                       legacy_wall_s=legacy_wall, repeats=shape.repeats)
-
-
-def bench_vector_pricing(shape: _Shape) -> BenchResult:
-    """Raw ``execute_batch`` pricing throughput, numpy vs pure Python.
-
-    Captures one trace per lookup (untimed) and then times only the
-    batch pricing pass; the reference side forces the pure-Python
-    fallback via ``REPRO_NO_NUMPY``.  No engine runs here, so ``events``
-    counts priced traces.  On hosts without numpy both sides take the
-    fallback and the speedup hovers at 1.0 by construction.
-    """
-    import os
-
-    from ..hashtable.locking import READ_SIDE_CYCLES
-    from ..sim import kernels
-
-    current: Dict[str, float] = {}
-
-    def _run(disable_numpy: bool) -> Tuple[float, float]:
-        system, table, keys = _replay_setup(shape.pricing_lookups)
-        software = system.software_engine(0)
-        _values, traces = software.capture_lookups(table, keys)
-        previous = os.environ.get(kernels.NUMPY_DISABLE_ENV)
-        if disable_numpy:
-            os.environ[kernels.NUMPY_DISABLE_ENV] = "1"
-        try:
-            t0 = time.process_time()
-            results = software.core.execute_batch(
-                traces, lock_cycles_each=READ_SIDE_CYCLES)
-            elapsed = time.process_time() - t0
-        finally:
-            if disable_numpy:
-                if previous is None:
-                    del os.environ[kernels.NUMPY_DISABLE_ENV]
-                else:
-                    os.environ[kernels.NUMPY_DISABLE_ENV] = previous
-        total = 0.0
-        for result in results:
-            total += result.cycles
-        return elapsed, total
-
-    def run_current() -> float:
-        elapsed, cycles = _run(False)
-        current["cycles"] = cycles
-        return elapsed
-
-    def run_legacy() -> float:
-        elapsed, _cycles = _run(True)
-        return elapsed
-
-    wall, legacy_wall = _min_of([run_current, run_legacy], shape.repeats)
-    return BenchResult(name="vector_pricing", events=shape.pricing_lookups,
-                       lookups=shape.pricing_lookups,
-                       cycles=current["cycles"], wall_s=wall,
-                       legacy_wall_s=legacy_wall, repeats=shape.repeats)
 
 
 def bench_shard_scaling(shape: _Shape) -> BenchResult:
@@ -634,11 +435,8 @@ def bench_emc_churn(shape: _Shape) -> BenchResult:
 
 _BENCHES: Dict[str, Callable[[_Shape], BenchResult]] = {
     "engine_churn": bench_engine_churn,
-    "cache_replay": bench_cache_replay,
     "fig09_single_lookup": bench_fig09_single_lookup,
     "multicore_step": bench_multicore_step,
-    "multicore_batched": bench_multicore_batched,
-    "vector_pricing": bench_vector_pricing,
     "shard_scaling": bench_shard_scaling,
     "emc_churn": bench_emc_churn,
 }

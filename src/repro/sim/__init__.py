@@ -24,7 +24,6 @@ from .engine import Engine, Event, Process, Resource, SimulationError, Store
 from .hierarchy import AccessResult, MemoryHierarchy
 from .interconnect import Interconnect, MeshInterconnect, build_interconnect
 from .memory import AddressAllocator, Dram, OutOfSimulatedMemory, Region
-from .replay import TraceReplay, batched_replay_default
 from .params import (
     CACHE_LINE_BYTES,
     CacheParams,
@@ -96,9 +95,7 @@ __all__ = [
     "Tlb",
     "TlbParams",
     "TlbStats",
-    "TraceReplay",
     "Tracer",
-    "batched_replay_default",
     "build_interconnect",
     "capture",
     "geometric_mean",

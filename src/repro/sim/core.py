@@ -20,11 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List
 
-from . import kernels
 from .hierarchy import MemoryHierarchy
 from .params import CoreParams
 from .stats import Breakdown
-from .trace import MemOpKind, MemTrace
+from .trace import MemTrace
 
 
 @dataclass
@@ -127,361 +126,28 @@ class CoreModel:
 
     def execute_batch(self, traces,
                       lock_cycles_each: float = 0.0) -> List[ExecutionResult]:
-        """Replay many traces with the per-access metric pushes deferred.
-
-        Cycle arithmetic is expression-for-expression :meth:`execute`, and
-        the accesses hit the hierarchy in exactly the order the serial path
-        would issue them (trace by trace, op by op), so cache state — and
-        therefore every latency — evolves identically.  Only the
-        *observation* is batched: latencies and level counts are
-        aggregated and flushed once through
-        :meth:`~repro.sim.hierarchy.MemoryHierarchy.observe_core_accesses`.
-        This is the compute half of the ``TraceReplay(batched=True)`` fast
-        path (see :mod:`repro.sim.replay`).
-
-        With numpy available (and ``REPRO_NO_NUMPY`` unset) the pricing
-        arithmetic runs through the array kernels in
-        :mod:`repro.sim.kernels`; otherwise a pure-Python fallback computes
-        the same numbers one trace at a time.  Both agree with the serial
-        path (see the kernels module's bit-exactness contract).
-        """
-        if not isinstance(traces, list):
-            traces = list(traces)
-        if kernels.numpy_active():
-            return self._execute_batch_vector(traces, lock_cycles_each)
-        return self._execute_batch_python(traces, lock_cycles_each)
-
-    def _execute_batch_python(self, traces, lock_cycles_each: float
-                              ) -> List[ExecutionResult]:
-        """The pure-Python batch path: per-trace pricing, deferred flush."""
-        hierarchy = self.hierarchy
-        access = hierarchy.core_accessor(self.core_id)
-        latency_counts: Dict[int, int] = {}
-        batch_levels: Dict[str, int] = {}
-        lock_box = [0]
-        price = self._price_trace
-        results = [price(trace, access, lock_cycles_each, latency_counts,
-                         batch_levels, lock_box)
-                   for trace in traces]
-        hierarchy.observe_core_accesses(latency_counts, batch_levels,
-                                        lock_box[0])
-        return results
-
-    def _price_trace(self, trace: MemTrace, access, lock_cycles_each: float,
-                     latency_counts: Dict[int, int],
-                     batch_levels: Dict[str, int],
-                     lock_box: List[int]) -> ExecutionResult:
-        """Price one trace with observation deferred into the caller's
-        aggregation dicts.  Expression-for-expression :meth:`execute`;
-        ``access`` is a :meth:`~repro.sim.hierarchy.MemoryHierarchy.
-        core_accessor` closure."""
-        l1_hit = self.hierarchy.latency.l1_hit
-        params = self.params
-        mlp = params.mlp
-        latency_get = latency_counts.get
-        batch_get = batch_levels.get
-        store_kind = MemOpKind.STORE
-
-        mix_total = trace.mix.total
-        front_end_floor = mix_total / params.issue_width
-        compute_cycles = mix_total * params.base_cpi * params.compute_overlap
-
-        memory_cycles = 0.0
-        level_counts: Dict[str, int] = {}
-        level_get = level_counts.get
-        loads = stores = 0
-        lock_retry_total = 0
-        # Recorded traces have non-decreasing deps, so the dependency
-        # chains are just runs of equal ``dep`` — walk the ops once,
-        # closing a wave computation at each dep change, instead of
-        # materialising group lists.  Hand-built traces that interleave
-        # groups fall back to the generic grouping (which also fixes
-        # the access order to match :meth:`execute`).
-        ops = trace.ops
-        prev_dep = 0
-        for op in ops:
-            if op[3] < prev_dep:
-                groups = trace.dependency_chains()
-                break
-            prev_dep = op[3]
-        else:
-            groups = None
-        if groups is None:
-            latencies: List[int] = []
-            add_latency = latencies.append
-            current_dep = ops[0][3] if ops else 0
-            for op in ops:
-                # MemOp fields by index (NamedTuple): 0=addr, 2=kind, 3=dep.
-                dep = op[3]
-                if dep != current_dep:
-                    latencies.sort(reverse=True)
-                    group_cycles = 0.0
-                    for start in range(0, len(latencies), mlp):
-                        exposed = latencies[start] - l1_hit
-                        if exposed > 0:
-                            group_cycles += exposed
-                    memory_cycles += group_cycles
-                    latencies = []
-                    add_latency = latencies.append
-                    current_dep = dep
-                write = op[2] is store_kind
-                latency, level, retries = access(op[0], write)
-                add_latency(latency)
-                latency_counts[latency] = latency_get(latency, 0) + 1
-                level_counts[level] = level_get(level, 0) + 1
-                batch_levels[level] = batch_get(level, 0) + 1
-                if retries:
-                    lock_retry_total += retries
-                if write:
-                    stores += 1
-                else:
-                    loads += 1
-            if latencies:
-                latencies.sort(reverse=True)
-                group_cycles = 0.0
-                for start in range(0, len(latencies), mlp):
-                    exposed = latencies[start] - l1_hit
-                    if exposed > 0:
-                        group_cycles += exposed
-                memory_cycles += group_cycles
-        else:
-            for group in groups:
-                latencies = []
-                add_latency = latencies.append
-                for op in group:
-                    write = op.kind is store_kind
-                    latency, level, retries = access(op.addr, write)
-                    add_latency(latency)
-                    latency_counts[latency] = latency_get(latency, 0) + 1
-                    level_counts[level] = level_get(level, 0) + 1
-                    batch_levels[level] = batch_get(level, 0) + 1
-                    if retries:
-                        lock_retry_total += retries
-                    if write:
-                        stores += 1
-                    else:
-                        loads += 1
-                latencies.sort(reverse=True)
-                # Only the longest access of each MLP wave counts —
-                # index into the sorted list instead of slicing waves.
-                group_cycles = 0.0
-                for start in range(0, len(latencies), mlp):
-                    exposed = latencies[start] - l1_hit
-                    if exposed > 0:
-                        group_cycles += exposed
-                memory_cycles += group_cycles
-        if lock_retry_total:
-            lock_box[0] += lock_retry_total
-
-        # Inline Breakdown assembly (same float-add order as the
-        # ``Breakdown``/``add``/``total`` calls in :meth:`execute`).
-        parts = {"compute": compute_cycles, "memory": memory_cycles}
-        total = compute_cycles + memory_cycles
-        if lock_cycles_each:
-            parts["locking"] = lock_cycles_each
-            total += lock_cycles_each
-        if total < front_end_floor:
-            parts["compute"] = compute_cycles + (front_end_floor - total)
-            total = front_end_floor
-        breakdown = Breakdown.__new__(Breakdown)
-        breakdown.parts = parts
-        # Same per-trace accumulation order as ``execute`` so the
-        # floating-point core totals match bit for bit.
-        self.retired_instructions += mix_total
-        self.retired_loads += loads
-        self.total_cycles += total
-        return ExecutionResult(
-            cycles=total,
-            breakdown=breakdown,
-            level_counts=level_counts,
-            loads=loads,
-            stores=stores,
-            instructions=mix_total,
-        )
-
-    def _execute_batch_vector(self, traces, lock_cycles_each: float
-                              ) -> List[ExecutionResult]:
-        """The vectorised batch path: serial access sweep, array pricing.
-
-        The sweep drives the (stateful) hierarchy op by op in serial order
-        and records a flat latency stream plus dependency-group geometry;
-        :func:`repro.sim.kernels.price_batch` then does all the wave/floor
-        arithmetic in numpy.  Per-trace level counts stay in the sweep
-        (they are dict-shaped anyway), as does the store/load split.
-        """
-        hierarchy = self.hierarchy
-        access = hierarchy.core_accessor(self.core_id)
-        store_kind = MemOpKind.STORE
-
-        latencies: List[int] = []
-        add_latency = latencies.append
-        group_starts: List[int] = []
-        add_group = group_starts.append
-        group_traces: List[int] = []
-        add_group_trace = group_traces.append
-        batch_levels: Dict[str, int] = {}
-        batch_get = batch_levels.get
-        lock_retry_total = 0
-        #: (mix_total, level_counts, loads, stores) per trace.
-        per_trace: List[tuple] = []
-
-        index = 0
-        trace_index = 0
-        for trace in traces:
-            level_counts: Dict[str, int] = {}
-            level_get = level_counts.get
-            stores = 0
-            ops = trace.ops
-            prev_dep = 0
-            for op in ops:
-                if op[3] < prev_dep:
-                    groups = trace.dependency_chains()
-                    break
-                prev_dep = op[3]
-            else:
-                groups = None
-            if groups is None:
-                current_dep = ops[0][3] if ops else 0
-                if ops:
-                    add_group(index)
-                    add_group_trace(trace_index)
-                for op in ops:
-                    dep = op[3]
-                    if dep != current_dep:
-                        add_group(index)
-                        add_group_trace(trace_index)
-                        current_dep = dep
-                    write = op[2] is store_kind
-                    latency, level, retries = access(op[0], write)
-                    add_latency(latency)
-                    index += 1
-                    level_counts[level] = level_get(level, 0) + 1
-                    if retries:
-                        lock_retry_total += retries
-                    if write:
-                        stores += 1
-            else:
-                for group in groups:
-                    if not group:
-                        continue
-                    add_group(index)
-                    add_group_trace(trace_index)
-                    for op in group:
-                        write = op.kind is store_kind
-                        latency, level, retries = access(op.addr, write)
-                        add_latency(latency)
-                        index += 1
-                        level_counts[level] = level_get(level, 0) + 1
-                        if retries:
-                            lock_retry_total += retries
-                        if write:
-                            stores += 1
-            for level, count in level_counts.items():
-                batch_levels[level] = batch_get(level, 0) + count
-            per_trace.append((trace.mix.total, level_counts,
-                              len(ops) - stores, stores))
-            trace_index += 1
-
-        params = self.params
-        totals, compute_parts, memory_parts, hist_values, hist_counts = (
-            kernels.price_batch(
-                latencies, group_starts, group_traces,
-                [entry[0] for entry in per_trace],
-                params.mlp, self.hierarchy.latency.l1_hit,
-                params.base_cpi, params.compute_overlap,
-                params.issue_width, lock_cycles_each))
-
-        results: List[ExecutionResult] = []
-        append_result = results.append
-        new_breakdown = Breakdown.__new__
-        breakdown_cls = Breakdown
-        result_cls = ExecutionResult
-        new_result = ExecutionResult.__new__
-        for position, (mix_total, level_counts, loads, stores) in enumerate(
-                per_trace):
-            total = totals[position]
-            parts = {"compute": compute_parts[position],
-                     "memory": memory_parts[position]}
-            if lock_cycles_each:
-                parts["locking"] = lock_cycles_each
-            breakdown = new_breakdown(breakdown_cls)
-            breakdown.parts = parts
-            # Same per-trace accumulation order as ``execute`` so the
-            # floating-point core totals match bit for bit.
-            self.retired_instructions += mix_total
-            self.retired_loads += loads
-            self.total_cycles += total
-            # Bypass the dataclass __init__ (one per trace on the hot
-            # path); a plain dict assignment fills the same fields.
-            result = new_result(result_cls)
-            result.__dict__ = {
-                "cycles": total,
-                "breakdown": breakdown,
-                "level_counts": level_counts,
-                "loads": loads,
-                "stores": stores,
-                "instructions": mix_total,
-            }
-            append_result(result)
-
-        # ``zip`` of the ascending unique latencies reproduces the
-        # ``sorted(latency_counts)`` flush order of the Python path.
-        hierarchy.observe_core_accesses(
-            dict(zip(hist_values, hist_counts)), batch_levels,
-            lock_retry_total)
-        return results
+        """Replay traces back-to-back; one :meth:`execute` result each."""
+        return [self.execute(trace, lock_cycles=lock_cycles_each)
+                for trace in traces]
 
     def execute_window(self, traces, start: int, budget,
                        lock_cycles_each: float = 0.0):
-        """Price ``traces[start:]`` serially up to a cycle ``budget``.
+        """Replay ``traces[start:]`` until the summed cycles reach ``budget``.
 
-        The windowed replay fast path (:mod:`repro.sim.replay`) prices
-        traces until the *next* trace would begin at or beyond ``budget``
-        cycles from now — the horizon up to which no other process can run
-        — so concurrent streams batch between interaction points.  At
-        least one trace is always priced (its start is "now" in serial and
-        windowed mode alike); ``budget=None`` means unbounded.  Deferred
-        observations flush before returning.
-
-        Returns ``(results, total_cycles, next_index)``.
+        At least one trace is always replayed; ``budget=None`` means
+        unbounded.  Returns ``(results, total_cycles, next_index)``.
         """
-        hierarchy = self.hierarchy
-        access = hierarchy.core_accessor(self.core_id)
-        latency_counts: Dict[int, int] = {}
-        batch_levels: Dict[str, int] = {}
-        lock_box = [0]
-        price = self._price_trace
         results: List[ExecutionResult] = []
         total = 0.0
         index = start
-        count = len(traces)
-        while index < count:
+        while index < len(traces):
             if results and budget is not None and total >= budget:
                 break
-            result = price(traces[index], access, lock_cycles_each,
-                           latency_counts, batch_levels, lock_box)
+            result = self.execute(traces[index], lock_cycles=lock_cycles_each)
             total += result.cycles
             results.append(result)
             index += 1
-        hierarchy.observe_core_accesses(latency_counts, batch_levels,
-                                        lock_box[0])
         return results, total, index
-
-    def execute_program(self, engine, trace: MemTrace,
-                        lock_cycles: float = 0.0):
-        """Replay ``trace`` as a DES program on ``engine``.
-
-        The cycle arithmetic is exactly :meth:`execute` — the cost is
-        computed up front from the current cache state — but the cost is
-        then *spent* as simulated time (``yield engine.timeout(...)``), so
-        core-side execution occupies the shared engine timeline and can
-        interleave with accelerator traffic and other cores.  Returns the
-        :class:`ExecutionResult`.
-        """
-        result = self.execute(trace, lock_cycles=lock_cycles)
-        if result.cycles:
-            yield engine.timeout(result.cycles)
-        return result
 
     def execute_prefetch_batch(self, traces,
                                lock_cycles_each: float = 0.0

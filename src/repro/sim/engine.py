@@ -30,28 +30,16 @@ loop is byte-for-byte the unguarded fast path.
 from __future__ import annotations
 
 import itertools
-import os
 from heapq import heappop, heappush
 from sys import getrefcount
 from typing import Any, Callable, Dict, Generator, List, Optional, Sequence
 
 from .calendar import BucketCalendar, DEFAULT_CALENDAR, make_calendar
 
-#: Environment toggle for the Timeout free-list (on by default; set to
-#: ``0`` to force a fresh allocation per timeout, e.g. for the
-#: free-list equivalence property suite).
-TIMEOUT_FREELIST_ENV = "REPRO_TIMEOUT_FREELIST"
-
 #: Upper bound on pooled Timeout records.  Steady state needs roughly one
 #: per concurrently pending recyclable timeout, which is tiny; the cap only
 #: guards against a pathological schedule parking the pool full of husks.
 _TIMEOUT_POOL_MAX = 512
-
-
-def timeout_freelist_default() -> bool:
-    """Whether recycled Timeout records are enabled for this process."""
-    return os.environ.get(TIMEOUT_FREELIST_ENV, "1").lower() not in (
-        "0", "false", "no", "off")
 
 
 class SimulationError(RuntimeError):
@@ -359,7 +347,7 @@ class Engine:
                  "_timeout_pool", "_recycle")
 
     def __init__(self, calendar: str = DEFAULT_CALENDAR,
-                 recycle_timeouts: Optional[bool] = None) -> None:
+                 recycle_timeouts: bool = True) -> None:
         self.now: float = 0
         self._calendar = make_calendar(calendar)
         self._sequence = itertools.count()
@@ -371,8 +359,7 @@ class Engine:
         #: ``timeout()`` closure instead of allocating a fresh one —
         #: killing the last per-hop allocation on the hot path.
         self._timeout_pool: List[Timeout] = []
-        self._recycle = (timeout_freelist_default()
-                         if recycle_timeouts is None else recycle_timeouts)
+        self._recycle = recycle_timeouts
         #: Live (not-yet-done) processes in creation order; the guard's
         #: deadlock dump and :meth:`blocked_processes` read this.
         self._live: Dict[Process, None] = {}
@@ -494,31 +481,6 @@ class Engine:
         (as opposed to being scheduled on the calendar)."""
         return [process for process in self._live
                 if process.waiting_on is not None]
-
-    def next_event_time(self) -> Optional[float]:
-        """Earliest pending calendar time, or ``None`` when nothing is queued.
-
-        Safe to call from *inside* a running process — the windowed
-        trace-replay fast path (:mod:`repro.sim.replay`) uses it as the
-        horizon up to which no other process can possibly run.  During the
-        specialised bucket drain loop the head bucket may be an
-        already-emptied husk whose deregistration is deferred to the end of
-        the drain, so an empty head falls through to the overflow heap's
-        children (only the head bucket can ever be empty).
-        """
-        calendar = self._calendar
-        if type(calendar) is not BucketCalendar:
-            return calendar.min_time()
-        cycles = calendar._cycles
-        if not cycles:
-            return None
-        bucket = calendar._buckets.get(cycles[0])
-        if bucket:
-            return bucket[0][0]
-        if len(cycles) == 1:
-            return None
-        head = cycles[1] if len(cycles) == 2 else min(cycles[1], cycles[2])
-        return calendar._buckets[head][0][0]
 
     # -- fault-injection hook bus -------------------------------------------
     def add_fault_hook(self, site: str, hook: Callable) -> None:

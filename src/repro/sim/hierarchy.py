@@ -15,9 +15,8 @@ The hierarchy is inclusive: an LLC eviction back-invalidates private copies.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from functools import reduce
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Optional
 
 from ..obs import Observability
 from .cache import Cache, CacheStats
@@ -40,7 +39,7 @@ class AccessResult(NamedTuple):
     """Outcome of one memory access.
 
     A named tuple: one is allocated per simulated memory access, so cheap
-    construction matters (see the replay fast path in :mod:`repro.sim.core`).
+    construction matters.
     """
 
     latency: int
@@ -203,79 +202,6 @@ class MemoryHierarchy:
             self._m_lock_retries.inc(result.lock_retries)
         return result
 
-    def observe_core_accesses(self, latency_counts: Dict[int, int],
-                              level_counts: Dict[str, int],
-                              lock_retries: int = 0) -> None:
-        """Flush a batch of deferred :meth:`core_access` observations.
-
-        The batched trace-replay fast path calls :meth:`_core_access`
-        directly (skipping the per-access metric pushes) and hands the
-        aggregated latencies/levels here, so the registry ends up in the
-        same state as if every access had gone through the instrumented
-        wrapper.
-        """
-        observe_many = self._m_core_cycles.observe_many
-        for latency in sorted(latency_counts):
-            observe_many(latency, latency_counts[latency])
-        for level, count in level_counts.items():
-            self._m_core_level[level].inc(count)
-        if lock_retries:
-            self._m_lock_retries.inc(lock_retries)
-
-    def core_accessor(self, core_id: int
-                      ) -> Callable[[int, bool], Tuple[int, str, int]]:
-        """A pre-bound access closure for the batched pricing sweep.
-
-        State transitions are exactly :meth:`_core_access` — the L1 read
-        probe is inlined against the cache internals (the overwhelmingly
-        common case in warm lookup streams) and everything else falls
-        through to the shared slow path — but the closure returns a plain
-        ``(latency, level, lock_retries)`` tuple and skips the per-access
-        metric pushes; callers flush their deferred observations through
-        :meth:`observe_core_accesses`.
-        """
-        full = self._core_access
-        if self.tlbs is not None:
-            # TLB translation charges per *byte address*, which the
-            # inlined line-granular probe below cannot reproduce — take
-            # the full path.
-            def access(addr: int, write: bool) -> Tuple[int, str, int]:
-                result = full(core_id, addr, write)
-                return result[0], result[1], result[3]
-            return access
-        l1 = self.l1[core_id]
-        sets = l1._sets
-        sets_get = sets.get
-        mask = l1.num_sets - 1
-        stats = l1.stats
-        line_bytes = self.line_bytes
-        l1_hit = self.latency.l1_hit
-        fill = self._core_access_fill
-        ordered_dict = OrderedDict
-        # One shared tuple for every L1 hit — the hot return value is a
-        # constant, so allocating it per access would be pure churn.
-        hit_result = (l1_hit, "L1", 0)
-
-        def access(addr: int, write: bool) -> Tuple[int, str, int]:
-            if write:
-                # Stores need ownership/lock-retry modelling: full path.
-                result = full(core_id, addr, write)
-                return result[0], result[1], result[3]
-            line = addr // line_bytes
-            index = line & mask
-            cache_set = sets_get(index)
-            if cache_set is None:
-                # Same state effect as Cache._set_for on a cold set.
-                sets[index] = ordered_dict()
-            elif cache_set.get(line) is not None:
-                cache_set.move_to_end(line)
-                stats.hits += 1
-                return hit_result
-            stats.misses += 1
-            result = fill(core_id, line, False, 0, 0)
-            return result[0], result[1], result[3]
-        return access
-
     def _core_access(self, core_id: int, addr: int,
                      write: bool = False) -> AccessResult:
         line = self.line_of(addr)
@@ -286,21 +212,12 @@ class MemoryHierarchy:
         if write:
             ownership, retries = self._gain_ownership(line, core_id)
             extra += ownership
-        if self.l1[core_id].lookup(line, write=write):
-            return AccessResult(self.latency.l1_hit + extra, "L1",
-                                self.interconnect.slice_of_line(line),
-                                retries)
-        return self._core_access_fill(core_id, line, write, extra, retries)
-
-    def _core_access_fill(self, core_id: int, line: int, write: bool,
-                          extra: int, retries: int) -> AccessResult:
-        """The L1-missed continuation of :meth:`_core_access`: L2 → home
-        LLC slice → peer private caches → DRAM, filling private caches on
-        the way back.  Split out so :meth:`core_accessor` can inline the
-        L1 probe and share everything below it unchanged."""
         l1 = self.l1[core_id]
-        l2 = self.l2[core_id]
         slice_of_line = self.interconnect.slice_of_line
+        if l1.lookup(line, write=write):
+            return AccessResult(self.latency.l1_hit + extra, "L1",
+                                slice_of_line(line), retries)
+        l2 = self.l2[core_id]
         if l2.lookup(line, write=write):
             self._fill_private(l1, line, core_id, dirty=write)
             return AccessResult(self.latency.l2_hit + extra, "L2",

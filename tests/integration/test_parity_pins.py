@@ -1,26 +1,13 @@
-"""Parity pins: fast paths can never silently diverge from the model.
+"""Parity pin: the guard can never silently change the model.
 
 Each pin runs a real experiment (quick grid) twice — once in the default
-configuration and once with a speed/safety toggle flipped — and requires
-every number in every payload to match at ``rel=1e-12``:
-
-* **batched replay on vs off** (``REPRO_BATCHED_REPLAY``): the
-  :class:`repro.sim.replay.TraceReplay` fast path captures-then-prices
-  whole key streams instead of interleaving per lookup; it must be a
-  pure reordering of work, not a different model.
-* **guard on vs off** (``REPRO_GUARD``): the safety net observes every
-  event; observation must never perturb results.
-* **numpy vs pure-Python pricing** (``REPRO_NO_NUMPY``): the vectorised
-  batch kernels and the fallback must price identically under batched
-  replay.
-* **windowed vs serial concurrency** (``REPRO_WINDOWED_REPLAY``):
-  batching concurrent streams between interaction points must be a pure
-  event-traffic optimisation.
-* **the full stack** — batched + windowed + guard together against the
-  plain defaults.
+configuration and once with ``REPRO_GUARD=1`` — and requires every number
+in every payload to match at ``rel=1e-12`` and the rendered report to
+match byte for byte.  The guard observes every event; observation must
+never perturb results.
 
 Covered experiments: fig09, fig11, multicore scaling, and the
-degradation sweep — the four the speed campaign leans on hardest.
+degradation sweep.
 """
 
 from __future__ import annotations
@@ -82,60 +69,9 @@ def _assert_parity(name, baseline, candidate, toggle):
 
 
 @pytest.mark.parametrize("name", EXPERIMENTS)
-def test_batched_replay_parity(name, monkeypatch):
-    monkeypatch.delenv("REPRO_BATCHED_REPLAY", raising=False)
-    monkeypatch.delenv("REPRO_GUARD", raising=False)
-    baseline = _snapshot(name)
-    monkeypatch.setenv("REPRO_BATCHED_REPLAY", "1")
-    batched = _snapshot(name)
-    _assert_parity(name, baseline, batched, "REPRO_BATCHED_REPLAY=1")
-
-
-@pytest.mark.parametrize("name", EXPERIMENTS)
 def test_guard_parity(name, monkeypatch):
-    monkeypatch.delenv("REPRO_BATCHED_REPLAY", raising=False)
     monkeypatch.delenv("REPRO_GUARD", raising=False)
     baseline = _snapshot(name)
     monkeypatch.setenv("REPRO_GUARD", "1")
     guarded = _snapshot(name)
     _assert_parity(name, baseline, guarded, "REPRO_GUARD=1")
-
-
-@pytest.mark.parametrize("name", EXPERIMENTS)
-def test_vectorised_pricing_parity(name, monkeypatch):
-    """numpy kernels vs pure-Python fallback, both under batched replay."""
-    monkeypatch.delenv("REPRO_GUARD", raising=False)
-    monkeypatch.delenv("REPRO_NO_NUMPY", raising=False)
-    monkeypatch.setenv("REPRO_BATCHED_REPLAY", "1")
-    vectorised = _snapshot(name)
-    monkeypatch.setenv("REPRO_NO_NUMPY", "1")
-    fallback = _snapshot(name)
-    _assert_parity(name, vectorised, fallback, "REPRO_NO_NUMPY=1")
-
-
-@pytest.mark.parametrize("name", ("multicore", "degradation"))
-def test_windowed_replay_parity(name, monkeypatch):
-    """Windowed concurrent batching vs the all-serial fallback."""
-    monkeypatch.delenv("REPRO_GUARD", raising=False)
-    monkeypatch.delenv("REPRO_NO_NUMPY", raising=False)
-    monkeypatch.setenv("REPRO_BATCHED_REPLAY", "1")
-    monkeypatch.setenv("REPRO_WINDOWED_REPLAY", "0")
-    serial = _snapshot(name)
-    monkeypatch.setenv("REPRO_WINDOWED_REPLAY", "1")
-    windowed = _snapshot(name)
-    _assert_parity(name, serial, windowed, "REPRO_WINDOWED_REPLAY=1")
-
-
-@pytest.mark.parametrize("name", ("multicore", "degradation"))
-def test_full_stack_parity(name, monkeypatch):
-    """Every fast path plus the guard at once vs the plain defaults."""
-    for var in ("REPRO_BATCHED_REPLAY", "REPRO_WINDOWED_REPLAY",
-                "REPRO_GUARD", "REPRO_NO_NUMPY"):
-        monkeypatch.delenv(var, raising=False)
-    baseline = _snapshot(name)
-    monkeypatch.setenv("REPRO_BATCHED_REPLAY", "1")
-    monkeypatch.setenv("REPRO_WINDOWED_REPLAY", "1")
-    monkeypatch.setenv("REPRO_GUARD", "1")
-    stacked = _snapshot(name)
-    _assert_parity(name, baseline, stacked,
-                   "batched+windowed+guard")

@@ -21,9 +21,8 @@ from repro.runner.perf import (
 
 #: Tiny workload for tests — structure-identical to the real shapes.
 MICRO_SHAPE = perf._Shape(churn_workers=2, churn_hops=20, churn_parked=50,
-                          replay_lookups=40, fig09_lookups=20,
-                          multicore_cores=2, multicore_lookups=5, repeats=1,
-                          batched_lookups=5, pricing_lookups=40,
+                          fig09_lookups=20, multicore_cores=2,
+                          multicore_lookups=5, repeats=1,
                           shard_count=2, shard_flows=16, shard_lookups=40,
                           emc_churn_packets=200, emc_churn_entries=32)
 
@@ -47,14 +46,13 @@ def test_quick_suite_is_schema_valid(micro_suite):
         assert record["wall_s"] > 0, name
         assert record["events_per_sec"] > 0, name
         assert record["events_per_cal_op"] > 0, name
-    # Benches with a reference side must carry the comparison: two run
-    # the frozen engine, the rest time their own slow/monolithic mode.
-    for name in ("engine_churn", "cache_replay", "multicore_batched",
-                 "vector_pricing", "shard_scaling"):
+    # Benches with a reference side must carry the comparison: churn runs
+    # the frozen engine, shard_scaling times one monolithic shard.
+    for name in ("engine_churn", "shard_scaling"):
         assert snapshot["benches"][name]["speedup_vs_legacy"] is not None
     # Lookup benches report a lookup rate; pure-DES churn does not.
     assert snapshot["benches"]["engine_churn"]["lookups_per_sec"] is None
-    assert snapshot["benches"]["cache_replay"]["lookups_per_sec"] > 0
+    assert snapshot["benches"]["fig09_single_lookup"]["lookups_per_sec"] > 0
     # emc_churn runs no engine: pure host-rate bench, packets as events.
     assert snapshot["benches"]["emc_churn"]["lookups_per_sec"] > 0
     assert snapshot["benches"]["emc_churn"]["speedup_vs_legacy"] is None
@@ -103,7 +101,7 @@ def _synthetic(churn_speedup, fig09_rate):
             "lookups_per_sec": 100.0,
             "speedup_vs_legacy": (churn_speedup
                                   if name in ("engine_churn",
-                                              "cache_replay") else None),
+                                              "shard_scaling") else None),
             "events_per_cal_op": fig09_rate,
         }
     return {"schema_version": PERF_SCHEMA_VERSION, "fingerprint": "x",
@@ -138,9 +136,10 @@ def test_gate_falls_back_to_normalised_rate():
 def test_gate_flags_missing_bench():
     baseline = _synthetic(2.2, 1.0)
     candidate = _synthetic(2.2, 1.0)
-    del candidate["benches"]["cache_replay"]
+    del candidate["benches"]["fig09_single_lookup"]
     failures = compare_snapshots(baseline, candidate)
-    assert any("cache_replay" in f and "missing" in f for f in failures)
+    assert any("fig09_single_lookup" in f and "missing" in f
+               for f in failures)
 
 
 def test_validate_flags_broken_snapshots():
@@ -162,7 +161,7 @@ def test_committed_snapshots_are_valid_and_fast():
     baseline = json.loads((perf_dir / "BENCH_baseline.json").read_text())
     assert validate_snapshot(baseline) == []
     assert baseline["quick"] is True
-    assert baseline["schema_version"] == PERF_SCHEMA_VERSION
+    assert baseline["schema_version"] == 4
 
     trajectory = json.loads((perf_dir / "BENCH_0.json").read_text())
     assert validate_snapshot(trajectory) == []
@@ -197,7 +196,25 @@ def test_committed_snapshots_are_valid_and_fast():
     latest = json.loads((perf_dir / "BENCH_3.json").read_text())
     assert validate_snapshot(latest) == []
     assert latest["quick"] is False
-    assert latest["schema_version"] == PERF_SCHEMA_VERSION
+    assert latest["schema_version"] == 4
     # The workloads round adds the cache-policy churn bench to the suite.
     assert latest["benches"]["emc_churn"]["events"] > 0
     assert latest["benches"]["emc_churn"]["lookups_per_sec"] > 0
+
+
+def test_every_committed_snapshot_validates_under_its_own_schema():
+    """Each ``BENCH_*.json`` is checked against the bench names of the
+    schema it was written with, and every current bench is in the
+    baseline the CI gate compares against."""
+    import pathlib
+
+    perf_dir = (pathlib.Path(__file__).resolve().parents[2]
+                / "benchmarks" / "perf")
+    paths = sorted(perf_dir.glob("BENCH_*.json"))
+    assert paths
+    for path in paths:
+        snapshot = json.loads(path.read_text())
+        assert validate_snapshot(snapshot) == [], path.name
+    baseline = json.loads((perf_dir / "BENCH_baseline.json").read_text())
+    assert set(BENCH_NAMES) <= set(baseline["benches"])
+    assert set(perf.NAMES_BY_SCHEMA[PERF_SCHEMA_VERSION]) == set(BENCH_NAMES)
