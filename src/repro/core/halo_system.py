@@ -96,7 +96,10 @@ class HaloSystem:
         registry = self.obs.metrics
         registry.register_source("halo.hybrid", self._hybrid_source)
         registry.gauge("halo.hybrid.flow_estimate",
-                       fn=lambda: self.hybrid.last_estimate)
+                       fn=self._hybrid_flow_estimate)
+
+    def _hybrid_flow_estimate(self) -> float:
+        return self.hybrid.last_estimate
 
     def _hybrid_source(self) -> dict:
         out = self.hybrid.stats.as_dict()

@@ -20,7 +20,7 @@ from ..hashtable.locking import READ_SIDE_CYCLES
 from ..sim.core import CoreModel, ExecutionResult
 from ..sim.hierarchy import MemoryHierarchy
 from ..sim.stats import Breakdown, RunningStats
-from ..sim.trace import Tracer, capture
+from ..sim.trace import NullTracer, Tracer, capture
 
 
 @dataclass
@@ -104,7 +104,7 @@ class SoftwareLookupEngine:
     @staticmethod
     def table_tracer(table) -> Tracer:
         tracer = table.tracer
-        if not isinstance(tracer, Tracer) or not tracer.enabled:
+        if not isinstance(tracer, Tracer) or isinstance(tracer, NullTracer):
             raise ValueError(
                 "software execution needs a table built with an enabled Tracer")
         return tracer

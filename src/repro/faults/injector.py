@@ -98,7 +98,11 @@ class FaultInjector:
         hierarchy = self.system.hierarchy
         hierarchy.dram.fault_hook = self._dram_hook
         hierarchy.interconnect.fault_hook = self._noc_hook
-        self.system.obs.metrics.register_source("faults", self._source)
+        # Closes over the stats block, not the injector: the counts stay
+        # readable after the injector is dropped, without holding the model.
+        stats = self.stats
+        self.system.obs.metrics.register_source(
+            "faults", lambda: stats.as_dict() if stats.injections else {})
         for window in self.plan.of_kind(FaultKind.LOCK_HOLD):
             self.engine.process(self._lock_hold(window), name="fault.lock_hold")
         for window in self.plan.of_kind(FaultKind.QUEUE_SATURATION):
@@ -120,11 +124,6 @@ class FaultInjector:
         hierarchy.dram.fault_hook = None
         hierarchy.interconnect.fault_hook = None
         self.installed = False
-
-    def _source(self) -> dict:
-        if not self.stats.injections:
-            return {}
-        return self.stats.as_dict()
 
     # -- pure hooks --------------------------------------------------------
     def _accel_gate(self, accelerator) -> Generator:

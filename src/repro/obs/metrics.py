@@ -14,7 +14,10 @@ metrics (``halo.accelerator.service_cycles``, ``mem.core_access.cycles``,
 * **pull** — components with existing stats dataclasses register a
   zero-argument callable (:meth:`MetricsRegistry.register_source`); the
   registry invokes it only at :meth:`snapshot` time, so steady-state cost
-  is exactly zero.
+  is exactly zero.  A bound method is held through a
+  :class:`weakref.WeakMethod`: the registry lives inside the model it
+  observes, and a strong reference back would put the whole model in a
+  reference cycle that only a full garbage collection frees.
 
 Histograms use fixed bucket boundaries so that two histograms with the
 same boundaries merge exactly (bucket-wise addition) — the property the
@@ -26,6 +29,8 @@ from __future__ import annotations
 import bisect
 import json
 import math
+import types
+import weakref
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 #: Default bucket upper bounds (cycles).  Powers of two spanning an L1 hit
@@ -33,6 +38,14 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 #: values above the last bound land in the overflow bucket.
 DEFAULT_LATENCY_BUCKETS: Tuple[float, ...] = tuple(
     float(1 << exp) for exp in range(17))
+
+
+def _callable_ref(fn: Callable) -> Callable[[], Optional[Callable]]:
+    """A zero-argument getter for ``fn``: weak for a bound method (``None``
+    once its owner is freed), strong for any other callable."""
+    if isinstance(fn, types.MethodType):
+        return weakref.WeakMethod(fn)
+    return lambda: fn
 
 
 class Counter:
@@ -59,7 +72,11 @@ class Counter:
 
 
 class Gauge:
-    """A point-in-time value: either set directly or read via a callback."""
+    """A point-in-time value: either set directly or read via a callback.
+
+    A bound-method callback is held weakly; once its owner is freed the
+    gauge reads its last set value.
+    """
 
     __slots__ = ("name", "_value", "_fn")
 
@@ -67,14 +84,15 @@ class Gauge:
                  fn: Optional[Callable[[], float]] = None) -> None:
         self.name = name
         self._value = 0.0
-        self._fn = fn
+        self._fn = _callable_ref(fn) if fn is not None else None
 
     def set(self, value: float) -> None:
         self._value = value
 
     @property
     def value(self) -> float:
-        return self._fn() if self._fn is not None else self._value
+        fn = self._fn() if self._fn is not None else None
+        return fn() if fn is not None else self._value
 
     def reset(self) -> None:
         self._value = 0.0
@@ -260,7 +278,7 @@ class MetricsRegistry:
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
-        self._sources: Dict[str, Callable[[], Dict]] = {}
+        self._sources: Dict[str, Callable[[], Optional[Callable]]] = {}
 
     # -- factories (get-or-create by name) ------------------------------------
     def counter(self, name: str) -> Counter:
@@ -292,9 +310,13 @@ class MetricsRegistry:
 
     def register_source(self, name: str, fn: Callable[[], Dict]) -> None:
         """Attach a pull-style source: ``fn`` returns a flat dict of scalars
-        and is invoked only when a snapshot is taken."""
+        and is invoked only when a snapshot is taken.
+
+        A bound method is held weakly, so the registry never keeps its
+        owner alive; a source whose owner has been freed is skipped.
+        """
         if self.enabled:
-            self._sources[name] = fn
+            self._sources[name] = _callable_ref(fn)
 
     # -- export ---------------------------------------------------------------
     def snapshot(self) -> Dict[str, object]:
@@ -310,7 +332,10 @@ class MetricsRegistry:
             out[name] = gauge.value
         for name, histogram in self._histograms.items():
             out[name] = histogram.to_dict()
-        for name, fn in self._sources.items():
+        for name, ref in self._sources.items():
+            fn = ref()
+            if fn is None:
+                continue
             for key, value in fn().items():
                 out[f"{name}.{key}"] = value
         return dict(sorted(out.items()))

@@ -120,24 +120,29 @@ class MemoryHierarchy:
             level: registry.counter(f"mem.cha_access.level.{level}")
             for level in ACCESS_LEVELS}
         self._m_lock_retries = registry.counter("mem.store_lock_retries")
-        registry.register_source(
-            "mem.l1d", lambda: self._level_stats(self.l1).as_dict())
-        registry.register_source(
-            "mem.l2", lambda: self._level_stats(self.l2).as_dict())
-        registry.register_source(
-            "mem.llc", lambda: self._level_stats(self.llc).as_dict())
-        registry.register_source("mem.dram",
-                                 lambda: self.dram.stats.as_dict())
+        # Bound methods, not closures: the registry holds them weakly, so
+        # it never keeps this hierarchy alive.
+        registry.register_source("mem.l1d", self._l1d_source)
+        registry.register_source("mem.l2", self._l2_source)
+        registry.register_source("mem.llc", self._llc_source)
+        registry.register_source("mem.dram", self.dram.stats.as_dict)
         registry.register_source("mem.interconnect",
-                                 lambda: self.interconnect.stats.as_dict())
+                                 self.interconnect.stats.as_dict)
         if self.tlbs is not None:
-            registry.register_source(
-                "mem.tlb",
-                lambda: reduce(
-                    lambda acc, tlb: {
-                        "hits": acc["hits"] + tlb.stats.hits,
-                        "misses": acc["misses"] + tlb.stats.misses},
-                    self.tlbs, {"hits": 0, "misses": 0}))
+            registry.register_source("mem.tlb", self._tlb_source)
+
+    def _l1d_source(self) -> dict:
+        return self._level_stats(self.l1).as_dict()
+
+    def _l2_source(self) -> dict:
+        return self._level_stats(self.l2).as_dict()
+
+    def _llc_source(self) -> dict:
+        return self._level_stats(self.llc).as_dict()
+
+    def _tlb_source(self) -> dict:
+        return {"hits": sum(tlb.stats.hits for tlb in self.tlbs),
+                "misses": sum(tlb.stats.misses for tlb in self.tlbs)}
 
     @staticmethod
     def _level_stats(caches: List[Cache]) -> CacheStats:

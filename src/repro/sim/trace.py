@@ -9,6 +9,12 @@ overlap (independent bucket reads issued back to back).
 
 The simulator replays a trace through a :class:`~repro.sim.hierarchy.
 MemoryHierarchy` from either a core or a CHA to obtain cycle costs.
+
+A tracer records only inside a ``begin()`` … ``take()`` bracket (normally
+:func:`capture`): outside one its ``enabled`` flag is ``False`` and the
+data structures, which guard every recording call on that flag, run
+purely functionally.  Table builds and other set-up that nobody prices
+therefore allocate no trace at all.
 """
 
 from __future__ import annotations
@@ -167,25 +173,32 @@ class Tracer:
 
     Data structures accept an optional tracer; when absent they run purely
     functionally with zero overhead (``NULL_TRACER`` pattern).
+
+    ``enabled`` means "a bracket is open": it is ``False`` at construction,
+    :meth:`begin` sets it and :meth:`take` clears it.  The recording hooks
+    themselves do not check it — callers guard on it, so work done outside
+    a ``begin()`` … ``take()`` bracket records nothing.
     """
 
     __slots__ = ("trace", "_dep", "enabled", "_ops")
 
     def __init__(self) -> None:
-        self.trace = MemTrace()
-        self._ops = self.trace.ops
-        self._dep = 0
-        self.enabled = True
+        self._reset()
+        self.enabled = False
 
-    def begin(self) -> None:
-        """Start a fresh trace for the next operation."""
+    def _reset(self) -> None:
         trace = MemTrace()
         self.trace = trace
         # ``_ops`` aliases the live trace's op list so the per-access
         # recording path skips the trace indirection; ``trace`` is only
-        # ever replaced here and in ``__init__``, keeping them in sync.
+        # ever replaced here, keeping them in sync.
         self._ops = trace.ops
         self._dep = 0
+
+    def begin(self) -> None:
+        """Open a bracket: start a fresh trace for the next operation."""
+        self._reset()
+        self.enabled = True
 
     def barrier(self) -> None:
         """Subsequent accesses depend on all previous ones."""
@@ -232,9 +245,10 @@ class Tracer:
         trace_mix.others += mix.others
 
     def take(self) -> MemTrace:
-        """Return the current trace and reset."""
+        """Close the bracket: return the current trace and reset."""
         trace = self.trace
-        self.begin()
+        self._reset()
+        self.enabled = False
         return trace
 
     # -- per-core routing hooks ------------------------------------------------
@@ -263,11 +277,7 @@ class NullTracer(Tracer):
 
     __slots__ = ()
 
-    def __init__(self) -> None:
-        super().__init__()
-        self.enabled = False
-
-    def begin(self) -> None:  # noqa: D102 — no allocation on the fast path
+    def begin(self) -> None:  # noqa: D102 — no allocation, never enabled
         pass
 
     def take(self) -> MemTrace:
@@ -304,9 +314,11 @@ class CoreTracerRouter(Tracer):
     currently *active* one; :func:`capture` (or :meth:`activate`/
     :meth:`restore`) brackets each functional call with the issuing core.
 
-    When no core is explicitly active, core 0's tracer records — which makes
-    single-core code that talks to ``table.tracer`` directly keep working
-    unchanged.
+    When no core is explicitly active, core 0's tracer is the target — which
+    makes single-core code that brackets ``table.tracer`` directly keep
+    working unchanged.  ``enabled`` mirrors the active tracer's, so it is kept in
+    step by :meth:`begin`, :meth:`take`, :meth:`activate` and
+    :meth:`restore`.
     """
 
     __slots__ = ("_tracers", "_active")
@@ -327,16 +339,19 @@ class CoreTracerRouter(Tracer):
         """Route subsequent recording to ``core_id``; returns the previous
         target so nested activations restore correctly."""
         previous = self._active
-        self._active = self.tracer_for(core_id)
+        active = self._active = self.tracer_for(core_id)
+        self.enabled = active.enabled
         return previous
 
     def restore(self, token: Optional[Tracer]) -> None:
         if token is not None:
             self._active = token
+            self.enabled = token.enabled
 
     # -- delegated recording interface ----------------------------------------
     def begin(self) -> None:
         self._active.begin()
+        self.enabled = True
 
     def barrier(self) -> None:
         self._active.barrier()
@@ -355,6 +370,7 @@ class CoreTracerRouter(Tracer):
         self._active.emit_trace(ops, dep_advance, mix)
 
     def take(self) -> MemTrace:
+        self.enabled = False
         return self._active.take()
 
 
@@ -365,12 +381,17 @@ def capture(tracer: Tracer, core_id: int, func, *args,
     The one sanctioned begin/run/take bracket: activates the core's tracer
     (a no-op for plain tracers), executes the functional call, and returns
     ``(value, trace)``.  Because DES process steps are atomic, no other
-    core's recording can interleave inside the bracket.
+    core's recording can interleave inside the bracket.  The bracket is
+    closed even when ``func`` raises, so later unpriced work records
+    nothing.
     """
     token = tracer.activate(core_id)
     try:
         tracer.begin()
-        value = func(*args, **kwargs)
-        return value, tracer.take()
+        try:
+            value = func(*args, **kwargs)
+        finally:
+            trace = tracer.take()
+        return value, trace
     finally:
         tracer.restore(token)

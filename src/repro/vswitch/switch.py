@@ -132,8 +132,11 @@ class VirtualSwitch:
         registry = self.obs.metrics
         self._m_packets = registry.counter("vswitch.packets")
         self._m_packet_cycles = registry.histogram("vswitch.packet_cycles")
+        # Closes over the stats block, not the switch: the source outlives
+        # the switch without keeping the model it drove alive.
+        stats = self.stats
         registry.register_source("vswitch.layer_hits",
-                                 lambda: dict(self.stats.layer_hits))
+                                 lambda: dict(stats.layer_hits))
 
     # -- rule management ----------------------------------------------------------
     def install_rules(self, rules: Iterable[Rule]) -> None:

@@ -157,6 +157,27 @@ def test_snapshot_inlines_sources_and_sorts():
     assert list(snapshot) == sorted(snapshot)
 
 
+def test_snapshot_skips_source_whose_owner_was_freed():
+    class Owner:
+        def source(self):
+            return {"x": 1}
+
+        def level(self):
+            return 7.0
+
+    registry = MetricsRegistry()
+    owner = Owner()
+    registry.register_source("owned", owner.source)
+    gauge = registry.gauge("owned.level", fn=owner.level)
+    gauge.set(2.0)
+    assert registry.snapshot()["owned.x"] == 1
+    assert gauge.value == 7.0
+    del owner  # the registry holds bound methods weakly
+    snapshot = registry.snapshot()
+    assert "owned.x" not in snapshot
+    assert snapshot["owned.level"] == 2.0  # back to the last set value
+
+
 def test_snapshot_histogram_is_summary_dict():
     registry = MetricsRegistry()
     registry.histogram("h.latency").observe(4.0)

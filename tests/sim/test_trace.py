@@ -2,13 +2,17 @@
 
 import pytest
 
+from repro.hashtable import CuckooHashTable
+from repro.hashtable.layout import StandaloneAllocator
 from repro.sim import (
+    CoreTracerRouter,
     InstructionMix,
     MemOp,
     MemOpKind,
     MemTrace,
     NULL_TRACER,
     Tracer,
+    capture,
 )
 
 
@@ -88,3 +92,59 @@ def test_memop_defaults():
     assert op.kind is MemOpKind.LOAD
     assert not op.is_store
     assert op.size == 8
+
+
+# -- recording happens only inside a begin() ... take() bracket ---------------
+def _bracket_table():
+    router = CoreTracerRouter()
+    table = CuckooHashTable(64, key_bytes=16,
+                            allocator=StandaloneAllocator(), tracer=router)
+    for index in range(40):
+        table.insert(index.to_bytes(16, "little"), index)
+    return router, table
+
+
+def _ops(trace):
+    return [(op.addr, op.size, op.kind, op.dep) for op in trace.ops]
+
+
+def test_tracer_is_disabled_outside_a_bracket():
+    tracer = Tracer()
+    assert not tracer.enabled
+    tracer.begin()
+    assert tracer.enabled
+    tracer.take()
+    assert not tracer.enabled
+
+
+def test_table_build_outside_a_bracket_records_nothing():
+    router, table = _bracket_table()
+    assert len(table) == 40
+    core0 = router.tracer_for(0)
+    assert core0.trace.ops == []
+    assert core0.trace.mix == InstructionMix()
+
+
+def test_captured_insert_trace_is_exact():
+    router, table = _bracket_table()
+    ok, trace = capture(router, 0, table.insert,
+                        (99).to_bytes(16, "little"), 99)
+    assert ok
+    load, store = MemOpKind.LOAD, MemOpKind.STORE
+    assert _ops(trace) == [(0x10A40, 16, load, 0), (0x101C0, 64, load, 1),
+                           (0x10140, 64, load, 1), (0x10740, 32, store, 3),
+                           (0x101C0, 64, store, 3)]
+    assert trace.mix == InstructionMix(loads=92, stores=58, arithmetic=58,
+                                       others=82)
+    assert not router.enabled
+
+
+def test_captured_lookup_trace_is_exact():
+    router, table = _bracket_table()
+    value, trace = capture(router, 0, table.lookup, (7).to_bytes(16, "little"))
+    assert value == 7
+    load = MemOpKind.LOAD
+    assert _ops(trace) == [(0x10A40, 16, load, 0), (0x10100, 64, load, 1),
+                           (0x10180, 64, load, 1), (0x10320, 32, load, 2)]
+    assert trace.mix == InstructionMix(loads=76, stores=25, arithmetic=44,
+                                       others=65)

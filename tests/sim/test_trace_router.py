@@ -3,6 +3,8 @@ allocation-free NullTracer fast path."""
 
 import pytest
 
+from repro.core.software import SoftwareLookupEngine
+from repro.hashtable import CuckooHashTable
 from repro.sim import CoreTracerRouter, MemTrace, NullTracer, Tracer, capture
 from repro.sim.trace import NULL_TRACER
 
@@ -101,6 +103,62 @@ class TestCoreTracerRouter:
         router.load(0xC0)
         assert [op.addr for op in router.tracer_for(0).trace] == [0xC0]
         assert len(router.tracer_for(5).trace) == 0
+
+
+    def test_enabled_follows_the_active_cores_bracket(self):
+        router = CoreTracerRouter()
+        assert not router.enabled
+        token_1 = router.activate(1)
+        assert not router.enabled
+        router.begin()
+        assert router.enabled and router.tracer_for(1).enabled
+        assert not router.tracer_for(0).enabled
+        token_2 = router.activate(2)
+        assert not router.enabled  # core 2 has no open bracket
+        router.restore(token_2)
+        assert router.enabled  # back on core 1's open bracket
+        router.take()
+        assert not router.enabled and not router.tracer_for(1).enabled
+        router.restore(token_1)
+        assert not router.enabled
+        router.begin()  # core 0 again
+        assert router.enabled and router.tracer_for(0).enabled
+        assert not router.tracer_for(1).enabled
+
+    def test_capture_leaves_every_bracket_closed(self):
+        router = CoreTracerRouter()
+        seen = []
+        capture(router, 3, lambda: seen.append(router.enabled))
+        assert seen == [True]
+        assert not router.enabled
+        assert not router.tracer_for(3).enabled
+
+
+    def test_capture_closes_the_bracket_when_func_raises(self):
+        router = CoreTracerRouter()
+
+        def boom():
+            router.load(0xB0)
+            raise RuntimeError("nope")
+
+        with pytest.raises(RuntimeError):
+            capture(router, 0, boom)
+        assert not router.enabled
+        assert not router.tracer_for(0).enabled
+        assert router.tracer_for(0).trace.ops == []
+
+
+class TestTableTracer:
+    def test_rejects_null_tracer_table(self):
+        table = CuckooHashTable(16, tracer=NULL_TRACER)
+        with pytest.raises(ValueError, match="enabled Tracer"):
+            SoftwareLookupEngine.table_tracer(table)
+
+    def test_accepts_fresh_unbracketed_tracer(self):
+        tracer = Tracer()
+        assert not tracer.enabled
+        table = CuckooHashTable(16, tracer=tracer)
+        assert SoftwareLookupEngine.table_tracer(table) is tracer
 
 
 class TestPlainTracerHooks:
