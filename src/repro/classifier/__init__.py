@@ -11,7 +11,6 @@ from .cache_policy import (
     make_policy,
 )
 from .datapath import Classification, DatapathStats, HitLayer, OvsDatapath
-from .dtree import DecisionTreeClassifier, TreeNode
 from .emc import DEFAULT_EMC_ENTRIES, ExactMatchCache
 from .flow import (
     FiveTuple,
@@ -22,7 +21,6 @@ from .flow import (
     make_flow,
 )
 from .openflow import OpenFlowLayer
-from .revalidator import DEFAULT_IDLE_TIMEOUT, Revalidator
 from .rules import Action, ActionKind, Rule, rule_for_flow
 from .tuple_space import (
     DEFAULT_TUPLE_CAPACITY,
@@ -44,8 +42,6 @@ __all__ = [
     "DEFAULT_EMC_ENTRIES",
     "DEFAULT_TUPLE_CAPACITY",
     "DatapathStats",
-    "DEFAULT_IDLE_TIMEOUT",
-    "DecisionTreeClassifier",
     "ExactMatchCache",
     "FiveTuple",
     "FlowMask",
@@ -55,9 +51,7 @@ __all__ = [
     "OvsDatapath",
     "PROTO_TCP",
     "PROTO_UDP",
-    "Revalidator",
     "Rule",
-    "TreeNode",
     "TupleEntry",
     "TupleSpaceSearch",
     "TupleSpaceStats",

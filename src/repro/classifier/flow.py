@@ -19,6 +19,9 @@ KEY_BYTES = 16
 PROTO_TCP = 6
 PROTO_UDP = 17
 
+#: The 16-byte key layout: 13 header bytes + zero pad.
+_KEY = struct.Struct("<IIHHB3x")
+
 
 @dataclass(frozen=True, order=True)
 class FiveTuple:
@@ -42,8 +45,8 @@ class FiveTuple:
 
     def pack(self) -> bytes:
         """The 16-byte hash-table key (13 header bytes + zero pad)."""
-        return struct.pack("<IIHHB3x", self.src_ip, self.dst_ip,
-                           self.src_port, self.dst_port, self.proto)
+        return _KEY.pack(self.src_ip, self.dst_ip, self.src_port,
+                         self.dst_port, self.proto)
 
     def as_int(self) -> int:
         """The 104-bit integer used by the TCAM models."""
@@ -52,9 +55,7 @@ class FiveTuple:
 
     @classmethod
     def unpack(cls, key: bytes) -> "FiveTuple":
-        src_ip, dst_ip, src_port, dst_port, proto = struct.unpack(
-            "<IIHHB3x", key)
-        return cls(src_ip, dst_ip, src_port, dst_port, proto)
+        return cls(*_KEY.unpack(key))
 
     def __str__(self) -> str:
         def ip(value: int) -> str:
@@ -89,7 +90,20 @@ class FlowMask:
         )
 
     def key_of(self, flow: FiveTuple) -> bytes:
-        return self.apply(flow).pack()
+        """``self.apply(flow).pack()``, without building the masked flow."""
+        return _KEY.pack(flow.src_ip & self.src_ip_mask,
+                         flow.dst_ip & self.dst_ip_mask,
+                         flow.src_port & self.src_port_mask,
+                         flow.dst_port & self.dst_port_mask,
+                         flow.proto & self.proto_mask)
+
+    def masked_equal(self, flow: FiveTuple, match: FiveTuple) -> bool:
+        """``self.apply(flow) == match``, without building the masked flow."""
+        return (flow.src_ip & self.src_ip_mask == match.src_ip
+                and flow.dst_ip & self.dst_ip_mask == match.dst_ip
+                and flow.src_port & self.src_port_mask == match.src_port
+                and flow.dst_port & self.dst_port_mask == match.dst_port
+                and flow.proto & self.proto_mask == match.proto)
 
     def as_int_mask(self) -> int:
         """The 104-bit TCAM mask equivalent."""

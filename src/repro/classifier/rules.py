@@ -8,10 +8,11 @@ OpenFlow layer.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Optional
+from typing import Any, Optional, Tuple
 
 from .flow import FiveTuple, FlowMask
 
@@ -51,18 +52,26 @@ class Rule:
     rule_id: int = field(default_factory=lambda: next(_rule_ids))
 
     def __post_init__(self) -> None:
-        masked = self.mask.apply(self.match)
-        if masked != self.match:
+        if not self.mask.masked_equal(self.match, self.match):
             raise ValueError(
                 "rule match fields must be pre-masked by the rule's mask")
 
     def matches(self, flow: FiveTuple) -> bool:
-        return self.mask.apply(flow) == self.match
+        return self.mask.masked_equal(flow, self.match)
 
     @property
     def key(self) -> bytes:
         """The hash-table key under this rule's tuple."""
         return self.match.pack()
+
+
+def precedence(rule: Rule) -> Tuple[int, int]:
+    """Sort key: among overlapping matches, the rule that wins sorts first.
+
+    Higher priority wins; ties break on the lower rule_id (first-created
+    wins), matching OVS's deterministic resolution.
+    """
+    return (-rule.priority, rule.rule_id)
 
 
 def rule_for_flow(flow: FiveTuple, action: Action, mask: Optional[FlowMask] = None,
@@ -73,6 +82,7 @@ def rule_for_flow(flow: FiveTuple, action: Action, mask: Optional[FlowMask] = No
                 priority=priority)
 
 
+@functools.lru_cache(maxsize=256)
 def megaflow_mask_for(rule_mask: FlowMask) -> FlowMask:
     """The mask a megaflow entry is installed under.
 
@@ -83,6 +93,7 @@ def megaflow_mask_for(rule_mask: FlowMask) -> FlowMask:
     megaflow per client/destination pair.  This gives the MegaFlow layer
     its realistic population (entries scale with the flow count, which is
     exactly why the paper's many-flow scenarios are LLC-bound).
+    Memoised: a rule set has only a handful of masks.
     """
     # How far the source refines depends on how much the rule consulted:
     # fully-wild sources refine to /16, prefix rules to /24 — keeping rule

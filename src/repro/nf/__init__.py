@@ -5,7 +5,6 @@ from .acl import AclFunction, AclRule, DEFAULT_ACL_RULES
 from .base import NetworkFunction, NfStats, WorkingSet
 from .hash_nf import HashTableNetworkFunction
 from .ids import DEFAULT_PATTERNS, IdsFunction, PatternAutomaton
-from .kvstore import KeyValueStore, KvStats
 from .nat import NAT_TABLE_SIZES, NatFunction, Translation
 from .packet_filter import FILTER_RULE_SIZES, FilterVerdict, PacketFilterFunction
 from .prads import AssetRecord, PRADS_TABLE_SIZES, PradsFunction
@@ -22,8 +21,6 @@ __all__ = [
     "FilterVerdict",
     "HashTableNetworkFunction",
     "IdsFunction",
-    "KeyValueStore",
-    "KvStats",
     "NAT_TABLE_SIZES",
     "NatFunction",
     "NetworkFunction",

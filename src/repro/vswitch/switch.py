@@ -33,7 +33,7 @@ from ..classifier.datapath import Classification, HitLayer
 from ..classifier.emc import DEFAULT_EMC_ENTRIES, ExactMatchCache
 from ..classifier.flow import FiveTuple
 from ..classifier.openflow import OpenFlowLayer
-from ..classifier.rules import Rule, megaflow_entry
+from ..classifier.rules import Rule, megaflow_entry, precedence
 from ..classifier.tuple_space import TupleSpaceSearch
 from ..core.halo_system import HaloSystem
 from ..exec.backend import HaloNonblockingBackend, SoftwareBackend
@@ -96,7 +96,6 @@ class VirtualSwitch:
         self.mode = mode
         self.core_id = core_id
         self.emc_enabled = emc_enabled
-        self._rules: List[Rule] = []
         allocator = system.hierarchy.allocator
         tracer = system.tracer
         metrics = system.obs.metrics  # null objects when obs is disabled
@@ -140,8 +139,8 @@ class VirtualSwitch:
 
     # -- rule management ----------------------------------------------------------
     def install_rules(self, rules: Iterable[Rule]) -> None:
-        self._rules = list(rules)
-        for rule in self._rules:
+        # Caller order sets the OpenFlow tuple order, hence the search order.
+        for rule in rules:
             self.openflow.install(rule)
 
     def prewarm_megaflows(self, flows: Iterable[FiveTuple]) -> int:
@@ -150,14 +149,20 @@ class VirtualSwitch:
         Models the steady state the paper measures: the MegaFlow layer is
         populated, so the OpenFlow layer is "seldom accessed in practice"
         (§3.1).  Returns the number of megaflow entries installed.
+
+        Each flow's winning rule — the one :meth:`OpenFlowLayer.classify`
+        returns — is the first match in the layer's precedence-ordered
+        rules, found without probing the tuples.
         """
+        rules = self.openflow.rules
         seen = set()
         installed = 0
         for flow in flows:
-            matches = [r for r in self._rules if r.matches(flow)]
-            if not matches:
+            for best in rules:
+                if best.matches(flow):
+                    break
+            else:
                 continue
-            best = max(matches, key=lambda r: (r.priority, -r.rule_id))
             entry = megaflow_entry(best, flow)
             signature = (entry.mask, entry.match)
             if signature in seen:
@@ -229,7 +234,7 @@ class VirtualSwitch:
         if not matches:
             return Classification(flow, None, HitLayer.MISS,
                                   tuples_searched=searched)
-        best = max(matches, key=lambda r: (r.priority, -r.rule_id))
+        best = min(matches, key=precedence)
         yield from self._traced_op(breakdown, "others", self.megaflow.install,
                                    megaflow_entry(best, flow))
         yield from self._fill_caches(flow, best, breakdown)
@@ -276,7 +281,7 @@ class VirtualSwitch:
             matches = [o.value for o in outcomes if o.found]
         if not matches:
             return Classification(flow, None, HitLayer.MISS)
-        best = max(matches, key=lambda r: (r.priority, -r.rule_id))
+        best = min(matches, key=precedence)
         self.megaflow.install(megaflow_entry(best, flow))
         return Classification(flow, best, HitLayer.OPENFLOW)
 

@@ -39,6 +39,19 @@ def test_mask_apply_idempotent(flow, mask):
 
 @settings(max_examples=200, deadline=None)
 @given(flows, masks)
+def test_key_of_packs_the_masked_flow(flow, mask):
+    assert mask.key_of(flow) == mask.apply(flow).pack()
+
+
+@settings(max_examples=200, deadline=None)
+@given(flows, flows, masks)
+def test_masked_equal_iff_apply_equal(flow, match, mask):
+    assert mask.masked_equal(flow, match) == (mask.apply(flow) == match)
+    assert mask.masked_equal(flow, mask.apply(flow))
+
+
+@settings(max_examples=200, deadline=None)
+@given(flows, masks)
 def test_int_mask_consistency(flow, mask):
     assert (flow.as_int() & mask.as_int_mask()
             == mask.apply(flow).as_int())

@@ -110,17 +110,6 @@ def test_query_result_latency_accounting(system):
     assert result.completed_at > result.started_at >= result.query.issued_at
 
 
-# -- kvstore software batch path ----------------------------------------------------------
-def test_kvstore_get_many_software_mode(system):
-    from repro.nf import KeyValueStore
-    kv = KeyValueStore(system, capacity=256)
-    for index in range(20):
-        kv.set(b"k%02d" % index, index)
-    values, cycles = kv.get_many([b"k%02d" % index for index in range(20)])
-    assert values == list(range(20))
-    assert cycles > 0
-
-
 # -- collocation sweep helper ----------------------------------------------------------------
 def test_collocation_sweep_grid():
     from repro.nf import AclFunction

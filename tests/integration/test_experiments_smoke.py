@@ -46,6 +46,33 @@ def test_fig04_runs():
         assert c_row.utilisation > s_row.utilisation * 2
 
 
+def _fig04_rows(*flow_counts, sfh_llc_mpkl=13.0):
+    return [fig04_hash.Fig4Row(kind, count, 0.5, 30.0,
+                               sfh_llc_mpkl if kind == "sfh" else 0.0,
+                               0.9, 200.0)
+            for count in flow_counts for kind in ("cuckoo", "sfh")]
+
+
+def _sfh_cliff_line(text):
+    return next(line for line in text.splitlines()
+                if "SFH LLC misses from 100K flows" in line)
+
+
+def test_fig04_sfh_cliff_not_evaluated_below_100k():
+    line = _sfh_cliff_line(fig04_hash.report(_fig04_rows(1_000, 10_000)))
+    assert "not evaluated at quick scale" in line
+    assert "[DIVERGES]" not in line and "[shape holds]" not in line
+
+
+@pytest.mark.parametrize("mpkl, verdict", [(13.0, "[shape holds]"),
+                                           (0.0, "[DIVERGES]")])
+def test_fig04_sfh_cliff_judged_from_100k(mpkl, verdict):
+    rows = _fig04_rows(10_000, 100_000, sfh_llc_mpkl=mpkl)
+    line = _sfh_cliff_line(fig04_hash.report(rows))
+    assert f"measured {mpkl:.1f} MPKL" in line
+    assert line.endswith(verdict)
+
+
 def test_fig04_achievable_occupancy():
     assert fig04_hash.achievable_occupancy("cuckoo", slots=2048) > 0.85
     assert fig04_hash.achievable_occupancy("sfh", slots=2048) < 0.45

@@ -1,11 +1,10 @@
 """Second round of property-based invariants: SFH, TSS, flow register
-windows, the DES engine under random workloads, decision trees."""
+windows, the DES engine under random workloads."""
 
 from hypothesis import given, settings, strategies as st
 
 from repro.classifier import (
     Action,
-    DecisionTreeClassifier,
     FiveTuple,
     FlowMask,
     TupleSpaceSearch,
@@ -94,24 +93,6 @@ def test_tss_first_match_is_a_real_match(rule_specs, probe):
     assert 0 <= searched <= tss.num_tuples
     if found is not None:
         assert found.matches(probe)
-
-
-# -- decision tree vs linear scan -------------------------------------------------------
-@settings(max_examples=25, deadline=None)
-@given(st.lists(st.tuples(flows, group_masks), min_size=1, max_size=12),
-       st.lists(flows, min_size=1, max_size=10))
-def test_dtree_matches_linear_scan(rule_specs, probes):
-    rules = [rule_for_flow(anchor, Action.output(i), mask, priority=i)
-             for i, (anchor, mask) in enumerate(rule_specs)]
-    tree = DecisionTreeClassifier(rules)
-    for probe in probes:
-        matches = [rule for rule in rules if rule.matches(probe)]
-        expected = (max(matches, key=lambda r: (r.priority, -r.rule_id))
-                    if matches else None)
-        got = tree.classify_functional(probe)
-        assert (got is None) == (expected is None)
-        if expected is not None:
-            assert got.rule_id == expected.rule_id
 
 
 # -- engine resources never over-grant ---------------------------------------------------

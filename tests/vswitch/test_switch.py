@@ -1,8 +1,10 @@
 """The instrumented virtual switch."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.classifier import HitLayer
+from repro.classifier import Action, FlowMask, HitLayer, Rule, make_flow
+from repro.classifier.rules import megaflow_entry
 from repro.core import HaloSystem
 from repro.traffic import FlowSet, PacketStream, TrafficProfile
 from repro.vswitch import SwitchMode, VirtualSwitch
@@ -122,3 +124,56 @@ def test_miss_layer_for_unmatched_flow():
     switch.install_rules(rules[:-1])   # drop the catch-all
     record = switch.process_flow(make_flow(0, group=77))
     assert record.classification.layer is HitLayer.MISS
+
+
+# Overlapping masks: the /8 pair and the catch-all match every make_flow().
+ORACLE_MASKS = (
+    FlowMask.prefixes(src_prefix=0, dst_prefix=16, src_port=False,
+                      dst_port=False),
+    FlowMask.prefixes(src_prefix=0, dst_prefix=24, src_port=False),
+    FlowMask.prefixes(src_prefix=8, dst_prefix=8, src_port=False,
+                      dst_port=False),
+    FlowMask.prefixes(src_prefix=0, dst_prefix=0, src_port=False,
+                      dst_port=False, proto=False),
+)
+
+# (anchor index, group, mask index, priority): few priorities, so ties are
+# common, and anchors of one group often collide on the same table key.
+rule_specs = st.lists(
+    st.tuples(st.integers(0, 40), st.integers(0, 3),
+              st.integers(0, len(ORACLE_MASKS) - 1), st.integers(0, 2)),
+    min_size=1, max_size=12)
+
+
+def _megaflows(switch):
+    return {(rule.mask, rule.match, rule.action, rule.priority)
+            for entry in switch.megaflow.tuples()
+            for _key, rule in entry.table.items()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(rule_specs, st.randoms(use_true_random=False))
+def test_prewarm_installs_the_megaflows_openflow_classify_picks(specs, rng):
+    rules = []
+    for number, (anchor, group, mask_index, priority) in enumerate(specs):
+        mask = ORACLE_MASKS[mask_index]
+        rules.append(Rule(mask=mask,
+                          match=mask.apply(make_flow(anchor, group=group)),
+                          action=Action.output(number), priority=priority))
+    rng.shuffle(rules)   # install order differs from rule_id order
+    switch = VirtualSwitch(HaloSystem(), megaflow_tuple_capacity=1 << 12)
+    switch.install_rules(rules)
+    flows = [make_flow(index, group=index % 5) for index in range(150)]
+
+    installed = switch.prewarm_megaflows(flows)
+
+    expected = {}
+    for flow in flows:
+        best = switch.openflow.classify(flow)
+        if best is not None:
+            entry = megaflow_entry(best, flow)
+            expected.setdefault((entry.mask, entry.match),
+                                (entry.action, entry.priority))
+    assert installed == len(expected)
+    assert _megaflows(switch) == {key + value
+                                  for key, value in expected.items()}
